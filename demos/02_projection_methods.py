@@ -33,7 +33,7 @@ for xi in snap[8:]:
     WQ.extend(dual_truth_solve(model, xi))
 print(f"spaces: r = {V.dim}, k = {WQ.dim}")
 
-cache = ReducedCache(model, V, WQ, saddle=True)
+cache = ReducedCache(model, V, WQ)
 validation = sample_parameters(model.domain, 200, seed=11)
 truth = [truth_solve(model, xi)[1] for xi in validation]
 

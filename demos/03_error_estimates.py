@@ -36,7 +36,7 @@ for xi in snap[:8]:
 for xi in snap[8:]:
     WQ.extend(dual_truth_solve(model, xi))
 
-cache = ReducedCache(model, V, WQ, saddle=True)
+cache = ReducedCache(model, V, WQ)
 validation = sample_parameters(model.domain, 200, seed=11)
 
 xi0 = validation[0]

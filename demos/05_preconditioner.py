@@ -54,8 +54,7 @@ for method in ("primal-dual", "saddle"):
         P.add_greedy_points(candidates, m)
         resid = (P.sketched_objective(P.points[0]) / np.linalg.norm(P.omega)
                  if P.m else float("nan"))
-        cache = ReducedCache(model, V, WQ, precond=P,
-                             saddle=(method == "saddle"))
+        cache = ReducedCache(model, V, WQ, precond=P)
         deltas, errors, snorms = [], [], []
         for xi, s in zip(validation, truth):
             sol = cache.solve(xi, method)

@@ -6,7 +6,7 @@ parameter-dependent linear system A(xi) u(xi) = b(xi) with affine
 parameter dependence:
 
 * desk-scale generated problems and truth solves (:mod:`gorom.problems`),
-* reduced bases with Gram-Schmidt enrichment (:mod:`gorom.spaces`),
+* Gram-orthonormal reduced bases (:mod:`gorom.spaces`),
 * primal, dual, primal-dual and saddle projections plus the cached online
   systems (:mod:`gorom.projectors`),
 * quasi-optimality constants (:mod:`gorom.constants`),
@@ -24,7 +24,6 @@ from .bundle import load_bundle, store_bundle
 from .constants import (
     ConstantsReport,
     compute_constants,
-    continuity_beta,
     delta_L,
     delta_VW,
     infsup_alpha,
@@ -55,9 +54,7 @@ from .greedy import (
     GreedyResult,
     GreedyTrace,
     argmax_delta,
-    run_alternate,
     run_greedy,
-    run_simultaneous,
 )
 from .model import Factorization, FullOrderModel, dual_norm_sq, factorize
 from .preconditioner import InverseInterpolant
@@ -82,13 +79,6 @@ from .projectors import (
     saddle_general_solve,
     saddle_spd_solve,
 )
-from .spaces import (
-    Basis,
-    enrich_dual_full,
-    enrich_dual_partial,
-    enrich_primal,
-    orthonormalize_append,
-    union_basis,
-)
+from .spaces import Basis, union_basis
 
 __version__ = "0.1.0"

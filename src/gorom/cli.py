@@ -28,7 +28,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,7 +47,7 @@ from .exceptions import GoromError, GreedyAborted
 from .greedy import GreedyConfig, online_cost, run_greedy
 from .preconditioner import InverseInterpolant
 from .problems import ProblemConfig, make_problem, sample_parameters, truth_solve
-from .projectors import ReducedCache
+from .projectors import ReducedCache, map_points
 from .spaces import Basis
 
 METHODS = ("primal", "dual", "primal-dual", "saddle")
@@ -144,12 +143,6 @@ def _xi_header(d):
     return [f"xi{j + 1}" for j in range(d)]
 
 
-def _parallel_map(fn, items, threads):
-    """Order-preserving parallel map over parameter points."""
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -202,7 +195,7 @@ def cmd_offline(args):
 def cmd_truth(args):
     model = load_bundle(args.bundle)
     xis = _read_xi(args, model)
-    outs = _parallel_map(lambda xi: truth_solve(model, xi)[1], xis, args.threads)
+    outs = map_points(lambda xi: truth_solve(model, xi)[1], xis, args.threads)
     rows = [list(xi) + list(s) for xi, s in zip(xis, outs)]
     header = _xi_header(model.d) + [f"s{j + 1}" for j in range(model.l)]
     _write_csv(args.out, header, rows)
@@ -213,15 +206,14 @@ def cmd_truth(args):
 def cmd_eval(args):
     model, V, WQ, precond = _load_all(args)
     xis = _read_xi(args, model)
-    cache = ReducedCache(model, V, WQ, precond=precond,
-                         saddle=(args.method == "saddle"))
+    cache = ReducedCache(model, V, WQ, precond=precond)
 
     def solve_one(xi):
         t0 = time.perf_counter()
         est = cache.solve(xi, args.method)
         return est, 1e3 * (time.perf_counter() - t0)
 
-    results = _parallel_map(solve_one, xis, args.threads)
+    results = map_points(solve_one, xis, args.threads)
     rows = [list(xi) + list(est.s_tilde) + [args.method, f"{ms:.3f}"]
             for xi, (est, ms) in zip(xis, results)]
     header = _xi_header(model.d) + [f"s{j + 1}" for j in range(model.l)] \
@@ -255,7 +247,7 @@ def _estimate_records(model, cache, precond, method, alpha_mode, xis, threads=No
             rec = estimate_preconditioned(model, xi, cache, sol, method, precond)
         return rec, sol
 
-    results = _parallel_map(one, xis, threads)
+    results = map_points(one, xis, threads)
     return [r for r, _ in results], [s for _, s in results]
 
 
@@ -268,8 +260,7 @@ def cmd_estimate(args):
         alpha_mode = "min-theta" if (model.symmetry == "spd"
                                      and model.coercive_affine) else "none"
     xis = _read_xi(args, model)
-    cache = ReducedCache(model, V, WQ, precond=precond,
-                         saddle=(args.method == "saddle"))
+    cache = ReducedCache(model, V, WQ, precond=precond)
     records, sols = _estimate_records(model, cache, precond, args.method,
                                       alpha_mode, xis, args.threads)
     rows = []
@@ -338,15 +329,13 @@ def cmd_compare(args):
             tr = json.load(fh)
         if tr["iterations"]:
             nfact = tr["iterations"][-1]["factorizations"]
-    truth = _parallel_map(lambda xi: truth_solve(model, xi)[1], xis,
+    truth = map_points(lambda xi: truth_solve(model, xi)[1], xis,
                           args.threads)
     alpha_mode = "min-theta" if (model.symmetry == "spd"
                                  and model.coercive_affine) else "none"
+    cache = ReducedCache(model, V, WQ, precond=precond)
     rows = []
     for method in METHODS:
-        cache = ReducedCache(model, V, WQ, precond=precond,
-                             saddle=(method == "saddle"))
-        errors = []
         sup_delta = ""
         if method in ("primal-dual", "saddle"):
             records, sols = _estimate_records(model, cache, precond, method,
@@ -354,7 +343,7 @@ def cmd_compare(args):
             sup_delta = max(rec.delta for rec in records)
             ss = [sol.s_tilde for sol in sols]
         else:
-            ss = _parallel_map(lambda xi: cache.solve(xi, method).s_tilde,
+            ss = map_points(lambda xi: cache.solve(xi, method).s_tilde,
                                xis, args.threads)
         errors = [model.z_norm(s - st) for s, st in zip(ss, truth)]
         r, k = V.dim, WQ.dim

@@ -33,7 +33,7 @@ from ._linalg import as_columns, clip_unit, eig_extreme
 from .exceptions import DegenerateTestSpaceError
 
 __all__ = ["ConstantsReport", "delta_VW", "delta_L", "infsup_alpha",
-           "compute_constants", "continuity_beta"]
+           "compute_constants"]
 
 
 @dataclass
@@ -146,30 +146,3 @@ def compute_constants(model, xi, V, S, gram="model"):
         delta_l=delta_L(model, xi, S, gram=gram),
         alpha=alpha,
     )
-
-
-def continuity_beta(model, xi, iters=100, tol=1e-10, seed=0):
-    """Power-iteration diagnostic for the continuity constant
-    sup_v ||A(xi) v||_{V0'} / ||v||_{V0}.
-
-    Purely informational: no estimator consumes it.  Iterates the operator
-    R_V0^{-1} A^T R_V0^{-1} A, which is self-adjoint in the R_V0 inner
-    product, and returns the square root of its Rayleigh quotient.
-    """
-    A = model.operator_at(xi)
-    x = np.random.default_rng(seed).standard_normal(model.n)
-    x /= model.v0_norm(x)
-    rho = 0.0
-    for _ in range(iters):
-        Ax = A @ x
-        rho_new = float(Ax @ model.riesz_v0(Ax))
-        y = model.riesz_v0(A.T @ model.riesz_v0(Ax))
-        nrm = model.v0_norm(y)
-        if nrm == 0.0:
-            return 0.0
-        x = y / nrm
-        if rho_new > 0 and abs(rho_new - rho) <= tol * rho_new:
-            rho = rho_new
-            break
-        rho = rho_new
-    return float(np.sqrt(max(rho, 0.0)))

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 
 from ._linalg import eig_extreme
 from .exceptions import UnsupportedModelError
-from .projectors import ReducedCache
+from .projectors import DirectBlocks, ReducedCache
 
 __all__ = [
     "EstimateRecord",
@@ -72,14 +71,11 @@ def alpha_min_theta(model, xi):
             "min-theta needs a coercive-affine model; supply alpha "
             "explicitly or use a surrogate estimate"
         )
-    Aref = model.A(model.xi_ref)
-    diff = Aref - model.gram_v0
-    num = sp.linalg.norm(diff) if sp.issparse(diff) else np.linalg.norm(diff)
-    den = sp.linalg.norm(Aref) if sp.issparse(Aref) else np.linalg.norm(Aref)
-    if num > 1e-10 * den:
+    deviation = model.v0_ref_deviation
+    if deviation > 1e-10:
         raise UnsupportedModelError(
             "min-theta needs gram_v0 = A(xi_ref); this model deviates by "
-            f"{num / den:.2e} relative"
+            f"{deviation:.2e} relative"
         )
     t_xi = model.A.coefficients_at(xi)
     t_ref = model.A.coefficients_at(model.xi_ref)
@@ -124,9 +120,7 @@ def estimate_saddle(model, xi, cache, sol, alpha):
         t = cache.saddle_corrected_point(xi, sol)
         resid = model.rhs_at(xi) - model.operator_at(xi) @ t
         pf = model.v0_dual_norm(resid)
-        schur = (cache.dual_schur_dynamic(xi, sol) if sol.aux
-                 else cache.dual_schur(xi, "T"))
-        df = _dual_sup(model, schur)
+        df = _saddle_dual_factor(model, xi, cache, sol)
     return EstimateRecord(
         xi=np.asarray(xi, float), delta=pf * df / alpha,
         primal_factor=pf, dual_factor=df, alpha=float(alpha),
@@ -145,12 +139,9 @@ def estimate_preconditioned(model, xi, cache, sol, method, precond=None):
         resid = cache.residual_vector(xi, sol.primal_coeffs)
         df = _dual_sup(model, cache.pd_dual_matrix(xi))
     elif method == "saddle":
-        t = cache.saddle_corrected_point(xi, sol) if model.symmetry != "spd" \
-            else _spd_saddle_point(cache, sol)
+        t = cache.saddle_corrected_point(xi, sol)
         resid = np.asarray(model.rhs_at(xi) - model.operator_at(xi) @ t)
-        schur = (cache.dual_schur_dynamic(xi, sol) if sol.aux
-                 else cache.dual_schur(xi, "T"))
-        df = _dual_sup(model, schur)
+        df = _saddle_dual_factor(model, xi, cache, sol)
     else:
         raise ValueError(f"unknown method {method!r}")
     x = precond.apply(xi, resid) if precond is not None else model.riesz_v0(resid)
@@ -163,11 +154,11 @@ def estimate_preconditioned(model, xi, cache, sol, method, precond=None):
     )
 
 
-def _spd_saddle_point(cache, sol):
-    if cache._T is None:
-        raise ValueError("cache was built without saddle blocks")
-    return cache._T.columns @ sol.t_coeffs if sol.t_coeffs.size \
-        else np.zeros(cache.model.n)
+def _saddle_dual_factor(model, xi, cache, sol):
+    """Dual factor over T, or over the T(xi) a preconditioned solution carries."""
+    schur = (cache.dual_schur_dynamic(xi, sol) if sol.aux
+             else cache.dual_schur(xi, "T"))
+    return _dual_sup(model, schur)
 
 
 def select_output_direction(model, xi, dual_space, method="saddle"):
@@ -180,12 +171,10 @@ def select_output_direction(model, xi, dual_space, method="saddle"):
     output dual norm; top-eigenspace ties break deterministically to the
     lexicographically largest sign-fixed eigenvector.
     """
-    if isinstance(dual_space, ReducedCache):
-        cache = dual_space
-        M = cache.pd_dual_matrix(xi) if method == "primal-dual" \
-            else cache.dual_schur(xi, "WQ")
-    else:
-        M = _direct_objective(model, xi, dual_space, method)
+    blocks = (dual_space.at(xi) if isinstance(dual_space, ReducedCache)
+              else DirectBlocks(model, xi, WQ=dual_space))
+    M = blocks.pd_dual_matrix() if method == "primal-dual" \
+        else blocks.dual_schur("WQ")
     _, _, (w, vecs) = eig_extreme(M, la.inv(model.gram_z), largest=True)
     lam_max = w[-1]
     tol = max(1e-10 * abs(lam_max), 1e-300)
@@ -204,30 +193,6 @@ def _sign_fix(v):
         if abs(x) > 1e-12 * scale:
             return v if x > 0 else -v
     return v
-
-
-def _direct_objective(model, xi, dual_space, method):
-    from ._linalg import as_columns
-    from ._linalg import solve_checked, solve_spd_min
-
-    Sc = as_columns(dual_space)
-    A = model.operator_at(xi)
-    Lt = model.output_at(xi)
-    Lt = (Lt.toarray() if sp.issparse(Lt) else np.asarray(Lt)).T
-    zL = model.riesz_v0(Lt)
-    G = Lt.T @ zL
-    if Sc.shape[1] == 0:
-        return G
-    AtS = A.T @ Sc
-    K = AtS.T @ model.riesz_v0(AtS)
-    C = AtS.T @ zL
-    if method == "saddle":
-        return G - C.T @ solve_spd_min(K, C)
-    if model.symmetry == "spd":
-        qhat = solve_checked(Sc.T @ (A @ Sc), Sc.T @ Lt, "dual minimizer system")
-    else:
-        qhat = solve_spd_min(K, C)
-    return G - C.T @ qhat - qhat.T @ C + qhat.T @ (K @ qhat)
 
 
 def effectivity_report(deltas, errors, s_norms=None, bins=20):

@@ -36,7 +36,6 @@ trace.json schema (written by ``GreedyTrace.save``)::
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -52,11 +51,11 @@ from .estimators import (
 from .exceptions import GoromError, GreedyAborted
 from .preconditioner import InverseInterpolant
 from .problems import sample_parameters
-from .projectors import ReducedCache
-from .spaces import Basis, enrich_dual_full, enrich_dual_partial, enrich_primal
+from .projectors import ReducedCache, map_points
+from .spaces import Basis
 
 __all__ = ["GreedyConfig", "GreedyIteration", "GreedyTrace", "GreedyResult",
-           "argmax_delta", "run_simultaneous", "run_alternate", "run_greedy"]
+           "argmax_delta", "run_greedy"]
 
 ONLINE_COST_C = 2.0 / 3.0
 
@@ -207,9 +206,9 @@ def _estimate_at(model, cache, cfg, precond, xi):
 def run_greedy(model, cfg, threads=None):
     """Run the configured greedy construction; returns a GreedyResult.
 
-    ``threads`` parallelizes the per-point estimate sweep (the caches are
-    shared read-only); selection, enrichment, and the trace are identical
-    to the serial run.
+    ``threads`` parallelizes the per-point estimate sweep (the threads share
+    each iteration's cache, whose blocks are built once); selection,
+    enrichment, and the trace are identical to the serial run.
     """
     train = _training_set(model, cfg)
     V = Basis(model.gram_v0, model.n, cfg.tol_rank, name="V")
@@ -223,22 +222,11 @@ def run_greedy(model, cfg, threads=None):
     nfact = 0
 
     for i in range(1, cfg.max_iter + 1):
-        cache = ReducedCache(model, V, WQ, precond=precond,
-                             saddle=(cfg.method == "saddle"),
-                             tol_rank=cfg.tol_rank)
+        cache = ReducedCache(model, V, WQ, precond=precond, tol_rank=cfg.tol_rank)
         try:
-            if threads is not None and threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    deltas = [
-                        rec.delta for rec in pool.map(
-                            lambda xi: _estimate_at(model, cache, cfg,
-                                                    precond, xi), train)
-                    ]
-            else:
-                deltas = [
-                    _estimate_at(model, cache, cfg, precond, xi).delta
-                    for xi in train
-                ]
+            deltas = [rec.delta for rec in map_points(
+                lambda xi: _estimate_at(model, cache, cfg, precond, xi),
+                train, threads or 1)]
         except GoromError as exc:
             trace.aborted = f"iteration {i}: {exc}"
             raise GreedyAborted(str(exc), trace=trace) from exc
@@ -260,7 +248,7 @@ def run_greedy(model, cfg, threads=None):
             kinds = []
             if do_primal:
                 u = fact.solve(model.rhs_at(xi_star))
-                ok = enrich_primal(V, u)
+                ok = V.append(u)
                 acc_p, rej_p = int(ok), int(not ok)
                 kinds.append("primal")
             if do_dual:
@@ -268,13 +256,13 @@ def run_greedy(model, cfg, threads=None):
                 Lt = (Ld.toarray() if sp.issparse(Ld) else np.asarray(Ld)).T
                 if cfg.enrichment == "full":
                     Q = fact.solve(Lt, transpose=True)
-                    acc_d = enrich_dual_full(WQ, Q)
+                    acc_d = WQ.extend(Q)
                     rej_d = model.l - acc_d
                     kinds.append("dual-full")
                 else:
                     zp = select_output_direction(model, xi_star, cache, cfg.method)
                     y = fact.solve(Lt @ zp, transpose=True)
-                    ok = enrich_dual_partial(WQ, y)
+                    ok = WQ.append(y)
                     acc_d, rej_d = int(ok), int(not ok)
                     kinds.append("dual-partial")
         except GoromError as exc:
@@ -300,17 +288,3 @@ def run_greedy(model, cfg, threads=None):
             delta_at_previous=delta_prev,
         ))
     return GreedyResult(V=V, WQ=WQ, precond=precond, trace=trace)
-
-
-def run_simultaneous(model, cfg, threads=None):
-    """Simultaneous construction: both spaces enriched every iteration."""
-    if cfg.schedule != "simultaneous":
-        raise ValueError("config schedule must be 'simultaneous'")
-    return run_greedy(model, cfg, threads=threads)
-
-
-def run_alternate(model, cfg, threads=None):
-    """Alternate construction: primal on odd, dual on even iterations."""
-    if cfg.schedule != "alternate":
-        raise ValueError("config schedule must be 'alternate'")
-    return run_greedy(model, cfg, threads=threads)

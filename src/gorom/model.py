@@ -136,6 +136,7 @@ class FullOrderModel:
             raise ValueError("xi_ref must have one entry per parameter component")
         self._v0_factor = None
         self._z_factor = None
+        self._v0_ref_deviation = None
         if validate:
             self._validate()
 
@@ -204,6 +205,17 @@ class FullOrderModel:
         if self._z_factor is None:
             self._z_factor = factorize(self.gram_z, spd=True)
         return self._z_factor
+
+    @property
+    def v0_ref_deviation(self):
+        """Relative Frobenius distance of R_V0 from A(xi_ref), computed once."""
+        if self._v0_ref_deviation is None:
+            Aref = self.A(self.xi_ref)
+            diff = Aref - self.gram_v0
+            num = sp.linalg.norm(diff) if sp.issparse(diff) else np.linalg.norm(diff)
+            den = sp.linalg.norm(Aref) if sp.issparse(Aref) else np.linalg.norm(Aref)
+            self._v0_ref_deviation = float(num / max(den, np.finfo(float).tiny))
+        return self._v0_ref_deviation
 
     def riesz_v0(self, X):
         """Apply R_V0^{-1} to a dual vector or a matrix of dual columns."""

@@ -12,13 +12,23 @@ Five approximation routes are implemented:
   projection with an auxiliary variable over the enriched space
   T = (test space) + (dual space).
 
-Direct functions take explicit bases and assemble reduced systems from the
-full-order operator at the evaluation point (never factorizing it).  The
-:class:`ReducedCache` precomputes parameter-independent reduced blocks per
-affine term (and per term pair through R_V0^{-1}) so that, for fixed
-spaces, online assembly is polynomial in the reduced dimensions.
+Every route, residual norm and dual Schur complement is written once, in
+:class:`_Blocks`, over the reduced blocks at one parameter point: the
+restrictions of A(xi), b(xi) and L(xi) to V, the test space W, the dual
+space WQ and T, some paired through R_V0^{-1}.  Two providers compute those
+blocks on first read:
+
+* :class:`DirectBlocks` assembles them from the full-order operator at the
+  point (never factorizing it).  The direct functions above use it, and it
+  is the oracle the cache is tested against.
+* :class:`ReducedCache` precomputes parameter-independent blocks per affine
+  term (and per term pair through R_V0^{-1}), so that for fixed spaces
+  online assembly is polynomial in the reduced dimensions.  Each block is
+  built on its first use, so a route builds only the blocks it reads.
 """
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,9 +65,200 @@ class OutputEstimate:
     aux: dict = field(default_factory=dict)
 
 
-def _output_dense(model, xi):
-    L = model.output_at(xi)
-    return L.toarray() if sp.issparse(L) else np.asarray(L)
+def _dual_schur(K, C, G):
+    """G - C^T K^{-1} C: the Gram of the minimized dual residual."""
+    if K.shape[0] == 0:
+        return G
+    return G - C.T @ solve_spd_min(K, C)
+
+
+# ---------------------------------------------------------------------------
+# route algebra over the reduced blocks at one parameter point
+# ---------------------------------------------------------------------------
+
+class _Blocks:
+    """Reduced blocks at one parameter point and the routes that read them.
+
+    A block is an attribute computed by the subclass's ``_block`` on its
+    first read.  Names, with R = R_V0 and every operator taken at xi:
+
+    * primal: ``WAV`` = W^T A V, ``Wb`` = W^T b, ``LV`` = L V;
+    * dual: ``QAV`` = WQ^T A V, ``Qb`` = WQ^T b, ``GLL`` = L R^{-1} L^T,
+      ``KQ`` = (A^T WQ)^T R^{-1} A^T WQ, ``CQ`` = (A^T WQ)^T R^{-1} L^T,
+      ``LXQ`` = L R^{-1} A^T WQ, and for spd models ``QAQ`` = WQ^T A WQ,
+      ``LQ`` = L WQ, ``QL`` = WQ^T L^T;
+    * saddle: ``Tb``, ``TAT``, ``LT`` (spd), ``KT``, ``CT``, ``TAV``, ``LXT``
+      (general), defined as above with T in place of W or WQ;
+    * residual norms: ``Rbb`` = b^T R^{-1} b, ``RAA`` = (A V)^T R^{-1} A V,
+      ``RAb`` = (A V)^T R^{-1} b, ``RTT`` and ``RTb`` likewise over T.
+
+    Subclasses also set ``spd``, ``l`` and the dimensions ``r``, ``k``, ``p``
+    of V, WQ and T.
+    """
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        value = self._block(name)
+        setattr(self, name, value)
+        return value
+
+    # -- routes ------------------------------------------------------------
+
+    def solve_primal(self):
+        U = solve_checked(self.WAV, self.Wb.ravel(), "Petrov-Galerkin reduced system")
+        s = self.LV @ U if self.r else np.zeros(self.l)
+        return OutputEstimate(np.asarray(s), "primal", primal_coeffs=U)
+
+    def dual_correction(self, rhs):
+        """Dual coefficients for the residual functional ``rhs`` on WQ, and
+        the output correction L Q_k^* r they induce."""
+        if self.k == 0:
+            return np.zeros(0), np.zeros(self.l)
+        if self.spd:
+            Y = solve_checked(self.QAQ, rhs, "dual reduced system")
+            return Y, np.asarray(self.LQ @ Y)
+        Y = solve_checked(self.KQ, rhs, "dual reduced system")
+        return Y, np.asarray(self.LXQ @ Y)
+
+    def solve_dual_only(self):
+        Y, s = self.dual_correction(self.Qb.ravel() if self.k else np.zeros(0))
+        return OutputEstimate(s, "dual", dual_coeffs=Y)
+
+    def solve_primal_dual(self):
+        primal = self.solve_primal()
+        rhs = (self.Qb.ravel() - self.QAV @ primal.primal_coeffs
+               if self.k else np.zeros(0))
+        Y, corr = self.dual_correction(rhs)
+        return OutputEstimate(primal.s_tilde + corr, "primal-dual",
+                              primal_coeffs=primal.primal_coeffs, dual_coeffs=Y)
+
+    def solve_saddle_spd(self):
+        """Saddle projection, symmetric coercive form: one SPD system over T."""
+        if self.p == 0:
+            return OutputEstimate(np.zeros(self.l), "saddle", t_coeffs=np.zeros(0))
+        M = self.TAT
+        try:
+            cho = la.cho_factor(0.5 * (M + M.T), check_finite=False)
+        except la.LinAlgError as exc:
+            raise ReducedSolveError(
+                f"saddle reduced matrix is not SPD ({exc}); model misuse?"
+            ) from exc
+        Y = la.cho_solve(cho, self.Tb.ravel(), check_finite=False)
+        return OutputEstimate(np.asarray(self.LT @ Y), "saddle", t_coeffs=Y)
+
+    def solve_saddle_general(self):
+        """Saddle projection in block form, valid for any model (R_V0 norm)."""
+        p, r = self.p, self.r
+        if p == 0 and r > 0:
+            raise ReducedSolveError(
+                "saddle space is empty while the primal space is not: "
+                "discrete inf-sup constant is zero"
+            )
+        if p == 0:
+            return OutputEstimate(np.zeros(self.l), "saddle",
+                                  primal_coeffs=np.zeros(0), dual_coeffs=np.zeros(0))
+        B = self.TAV
+        big = np.block([[self.KT, B], [B.T, np.zeros((r, r))]])
+        rhs = np.concatenate([self.Tb.ravel(), np.zeros(r)])
+        sol = solve_checked(big, rhs, "saddle block system")
+        Y, U = sol[:p], sol[p:]
+        s = self.LV @ U + self.LXT @ Y
+        return OutputEstimate(np.asarray(s), "saddle", primal_coeffs=U, dual_coeffs=Y)
+
+    # -- estimator primitives ------------------------------------------------
+
+    def primal_residual_norm(self, U):
+        """|| b - A V U || in the R_V0 dual norm."""
+        s0 = float(self.Rbb.item())
+        if self.r == 0 or U is None or U.size == 0:
+            return np.sqrt(max(s0, 0.0))
+        val = float(U @ (self.RAA @ U) - 2.0 * (self.RAb.ravel() @ U) + s0)
+        return np.sqrt(max(clip_nonneg(val, 1e-10), 0.0))
+
+    def min_residual_over_T(self):
+        """min over t in T of || A t - b || in the R_V0 dual norm."""
+        s0 = float(self.Rbb.item())
+        if self.p == 0:
+            return np.sqrt(max(s0, 0.0))
+        q = self.RTb.ravel()
+        val = s0 - float(q @ solve_spd_min(self.RTT, q))
+        return np.sqrt(max(clip_nonneg(val, 1e-10), 0.0))
+
+    def dual_schur(self, space="WQ"):
+        """G_LL - C^T K^{-1} C over WQ or T: the Gram of the dual-residual
+        minimization."""
+        if space == "WQ":
+            return _dual_schur(self.KQ, self.CQ, self.GLL) if self.k else self.GLL
+        if space == "T":
+            return _dual_schur(self.KT, self.CT, self.GLL) if self.p else self.GLL
+        raise ValueError(f"unknown space {space!r}")
+
+    def pd_dual_matrix(self):
+        """(L^* - A^* Q_k)-Gram in the R_V0 dual norm, as an l x l matrix."""
+        if self.k == 0 or not self.spd:
+            return self.dual_schur("WQ")
+        K, C = self.KQ, self.CQ
+        qhat = solve_checked(self.QAQ, self.QL, "dual minimizer system")
+        return self.GLL - C.T @ qhat - qhat.T @ C + qhat.T @ (K @ qhat)
+
+
+def _dense(M):
+    return M.toarray() if sp.issparse(M) else np.asarray(M)
+
+
+class DirectBlocks(_Blocks):
+    """Reduced blocks assembled from the full-order model at ``xi``.
+
+    ``W=None`` selects the Galerkin test space W = V; absent spaces are
+    empty.  The operator is assembled once, on the first block that needs it.
+    """
+
+    _RECIPES = {
+        "A": lambda d: d.model.operator_at(d.xi),
+        "b": lambda d: d.model.rhs_at(d.xi),
+        "Ld": lambda d: _dense(d.model.output_at(d.xi)),
+        "zL": lambda d: d.model.riesz_v0(d.Ld.T),
+        "GLL": lambda d: d.Ld @ d.zL,
+        "LV": lambda d: d.Ld @ d.Vc,
+        "WAV": lambda d: d.Wc.T @ (d.A @ d.Vc),
+        "Wb": lambda d: d.Wc.T @ d.b,
+        "QAV": lambda d: d.Qc.T @ (d.A @ d.Vc),
+        "Qb": lambda d: d.Qc.T @ d.b,
+        "QAQ": lambda d: d.Qc.T @ (d.A @ d.Qc),
+        "LQ": lambda d: d.Ld @ d.Qc,
+        "QL": lambda d: d.Qc.T @ d.Ld.T,
+        "AtQ": lambda d: d.A.T @ d.Qc,
+        "XQ": lambda d: d.model.riesz_v0(d.AtQ),
+        "KQ": lambda d: d.AtQ.T @ d.XQ,
+        "CQ": lambda d: d.AtQ.T @ d.zL,
+        "LXQ": lambda d: d.Ld @ d.XQ,
+        "Tb": lambda d: d.Tc.T @ d.b,
+        "TAT": lambda d: d.Tc.T @ (d.A @ d.Tc),
+        "LT": lambda d: d.Ld @ d.Tc,
+        "TAV": lambda d: d.Tc.T @ (d.A @ d.Vc),
+        "AtT": lambda d: d.A.T @ d.Tc,
+        "XT": lambda d: d.model.riesz_v0(d.AtT),
+        "KT": lambda d: d.AtT.T @ d.XT,
+        "LXT": lambda d: d.Ld @ d.XT,
+    }
+
+    def __init__(self, model, xi, V=None, WQ=None, W=None, T=None):
+        def cols(X):
+            return np.zeros((model.n, 0)) if X is None else as_columns(X)
+
+        self.model, self.xi = model, xi
+        self.spd, self.l = model.symmetry == "spd", model.l
+        self.Vc, self.Qc, self.Tc = cols(V), cols(WQ), cols(T)
+        self.Wc = self.Vc if W is None else as_columns(W)
+        self.r, self.k, self.p = self.Vc.shape[1], self.Qc.shape[1], self.Tc.shape[1]
+
+    def _block(self, name):
+        try:
+            recipe = self._RECIPES[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        return recipe(self)
 
 
 # ---------------------------------------------------------------------------
@@ -88,35 +289,12 @@ def petrov_galerkin_solve(model, xi, V, W=None):
 
     ``W=None`` selects the standard Galerkin test space W = V.
     """
-    Vc = as_columns(V)
-    Wc = Vc if W is None else as_columns(W)
-    A = model.operator_at(xi)
-    M = Wc.T @ (A @ Vc)
-    rhs = Wc.T @ model.rhs_at(xi)
-    U = solve_checked(M, rhs, "Petrov-Galerkin reduced system")
-    s = _output_dense(model, xi) @ (Vc @ U) if Vc.shape[1] else np.zeros(model.l)
-    return OutputEstimate(np.asarray(s), "primal", primal_coeffs=U)
+    return DirectBlocks(model, xi, V=V, W=W).solve_primal()
 
 
 def dual_only_solve(model, xi, WQ):
     """Output estimate from the dual space alone (zero primal approximation)."""
-    Wc = as_columns(WQ)
-    A = model.operator_at(xi)
-    bvec = model.rhs_at(xi)
-    Ld = _output_dense(model, xi)
-    if Wc.shape[1] == 0:
-        return OutputEstimate(np.zeros(model.l), "dual", dual_coeffs=np.zeros(0))
-    if model.symmetry == "spd":
-        M = Wc.T @ (A @ Wc)
-        Y = solve_checked(M, Wc.T @ bvec, "dual-only reduced system")
-        s = Ld @ (Wc @ Y)
-    else:
-        AtW = A.T @ Wc
-        X = model.riesz_v0(AtW)
-        M = AtW.T @ X
-        Y = solve_checked(M, Wc.T @ bvec, "dual-only reduced system")
-        s = Ld @ (X @ Y)
-    return OutputEstimate(np.asarray(s), "dual", dual_coeffs=Y)
+    return DirectBlocks(model, xi, WQ=WQ).solve_dual_only()
 
 
 def primal_dual_solve(model, xi, V, WQ, W=None):
@@ -126,49 +304,14 @@ def primal_dual_solve(model, xi, V, WQ, W=None):
     the residual, then evaluates L R_V^{-1} A^* applied to it; the dual
     operator itself is never assembled.
     """
-    primal = petrov_galerkin_solve(model, xi, V, W)
-    Vc = as_columns(V)
-    Wc = as_columns(WQ)
-    A = model.operator_at(xi)
-    bvec = model.rhs_at(xi)
-    Ld = _output_dense(model, xi)
-    resid = bvec - (A @ (Vc @ primal.primal_coeffs) if Vc.shape[1] else 0.0)
-    if Wc.shape[1] == 0:
-        return OutputEstimate(primal.s_tilde, "primal-dual",
-                              primal_coeffs=primal.primal_coeffs,
-                              dual_coeffs=np.zeros(0))
-    if model.symmetry == "spd":
-        M = Wc.T @ (A @ Wc)
-        Y = solve_checked(M, Wc.T @ resid, "primal-dual correction system")
-        corr = Ld @ (Wc @ Y)
-    else:
-        AtW = A.T @ Wc
-        X = model.riesz_v0(AtW)
-        M = AtW.T @ X
-        Y = solve_checked(M, Wc.T @ resid, "primal-dual correction system")
-        corr = Ld @ (X @ Y)
-    return OutputEstimate(primal.s_tilde + corr, "primal-dual",
-                          primal_coeffs=primal.primal_coeffs, dual_coeffs=Y)
+    return DirectBlocks(model, xi, V=V, WQ=WQ, W=W).solve_primal_dual()
 
 
 def saddle_spd_solve(model, xi, T):
     """Saddle projection, symmetric coercive form: one SPD system over T."""
     if model.symmetry != "spd":
         raise ReducedSolveError("saddle_spd_solve requires an spd model")
-    Tc = as_columns(T)
-    if Tc.shape[1] == 0:
-        return OutputEstimate(np.zeros(model.l), "saddle", t_coeffs=np.zeros(0))
-    A = model.operator_at(xi)
-    M = Tc.T @ (A @ Tc)
-    try:
-        cho = la.cho_factor(0.5 * (M + M.T), check_finite=False)
-    except la.LinAlgError as exc:
-        raise ReducedSolveError(
-            f"saddle reduced matrix is not SPD ({exc}); model misuse?"
-        ) from exc
-    Y = la.cho_solve(cho, Tc.T @ model.rhs_at(xi), check_finite=False)
-    s = _output_dense(model, xi) @ (Tc @ Y)
-    return OutputEstimate(np.asarray(s), "saddle", t_coeffs=Y)
+    return DirectBlocks(model, xi, T=T).solve_saddle_spd()
 
 
 def saddle_general_solve(model, xi, V, T):
@@ -176,33 +319,14 @@ def saddle_general_solve(model, xi, V, T):
 
     Solves for (y, u) in T x V the coupled system with the residual-induced
     Gram A R_V0^{-1} A^T on T, and returns the output estimate
-    s = L V u + L R_V0^{-1} A^T T y.
+    s = L V u + L R_V0^{-1} A^T T y; ``aux`` carries T, X = R_V0^{-1} A^T T
+    and that Gram K.
     """
-    Vc = as_columns(V)
-    Tc = as_columns(T)
-    p, r = Tc.shape[1], Vc.shape[1]
-    Ld = _output_dense(model, xi)
-    if p == 0 and r > 0:
-        raise ReducedSolveError(
-            "saddle space is empty while the primal space is not: "
-            "discrete inf-sup constant is zero"
-        )
-    if p == 0:
-        return OutputEstimate(np.zeros(model.l), "saddle",
-                              primal_coeffs=np.zeros(0), dual_coeffs=np.zeros(0))
-    A = model.operator_at(xi)
-    AtT = A.T @ Tc
-    X = model.riesz_v0(AtT)
-    K = AtT.T @ X
-    B = Tc.T @ (A @ Vc) if r else np.zeros((p, 0))
-    big = np.block([[K, B], [B.T, np.zeros((r, r))]])
-    rhs = np.concatenate([Tc.T @ model.rhs_at(xi), np.zeros(r)])
-    sol = solve_checked(big, rhs, "saddle block system")
-    Y, U = sol[:p], sol[p:]
-    s = (Ld @ (Vc @ U) if r else np.zeros(model.l)) + Ld @ (X @ Y)
-    return OutputEstimate(np.asarray(s), "saddle",
-                          primal_coeffs=U, dual_coeffs=Y,
-                          aux={"T": Tc, "X": X, "K": K})
+    blocks = DirectBlocks(model, xi, V=V, T=T)
+    est = blocks.solve_saddle_general()
+    if blocks.p:
+        est.aux = {"T": blocks.Tc, "X": blocks.XT, "K": blocks.KT}
+    return est
 
 
 def build_test_space(model, V, precond, xi):
@@ -248,6 +372,12 @@ class _PairBlocks:
                 acc = acc + (aj * bk) * self.blocks[j][k]
         return acc
 
+    def transposed(self):
+        """The family of transposed blocks, B[j][k]^T at position [k][j]."""
+        return _PairBlocks(self.coeffs_b, self.coeffs_a,
+                           [[row[k].T for row in self.blocks]
+                            for k in range(len(self.coeffs_b))])
+
 
 def _term_family(form, X=None, transpose=False):
     """Dense images [term_k @ X] (or term_k^T @ X; or the terms themselves)."""
@@ -265,8 +395,88 @@ def _term_family(form, X=None, transpose=False):
     return out
 
 
+def _pairs(c, fam_a, coeffs_a, fam_b, coeffs_b, z_b=None):
+    """Blocks Fa^T R_V0^{-1} Fb for every pair of terms; ``z_b`` may hold
+    the Riesz images of ``fam_b`` already."""
+    zb = [c.model.riesz_v0(F) for F in fam_b] if z_b is None else z_b
+    return _PairBlocks(coeffs_a, coeffs_b, [[Fa.T @ Zb for Zb in zb] for Fa in fam_a])
+
+
+# name -> builder(cache, get); a builder reads other groups through get
+_GROUPS = {
+    # full-order term images and their Riesz representers
+    "FA_V": lambda c, g: _term_family(c.model.A, c.Vc),
+    "FA_Q": lambda c, g: _term_family(c.model.A, c.WQc),
+    "FAt_Q": lambda c, g: _term_family(c.model.A, c.WQc, transpose=True),
+    "Fb": lambda c, g: _term_family(c.model.b),
+    "FL": lambda c, g: _term_family(c.model.L, transpose=True),
+    "zb": lambda c, g: [c.model.riesz_v0(F) for F in g("Fb")],
+    "zL": lambda c, g: [c.model.riesz_v0(F) for F in g("FL")],
+    "T": lambda c, g: union_basis([c.Vc, c.WQc], gram=c.model.gram_v0,
+                                  tol_rank=c.tol_rank, name="T"),
+    "FA_T": lambda c, g: _term_family(c.model.A, g("T").columns),
+    "FAt_T": lambda c, g: _term_family(c.model.A, g("T").columns, transpose=True),
+    "zAt_T": lambda c, g: [c.model.riesz_v0(F) for F in g("FAt_T")],
+    # primal route, fixed test space W = V
+    "WAV": lambda c, g: _AffineBlocks(c._ca, [c.Vc.T @ F for F in g("FA_V")]),
+    "Wb": lambda c, g: _AffineBlocks(c._cb, [c.Vc.T @ F for F in g("Fb")]),
+    "LV": lambda c, g: _AffineBlocks(c._cl, [F.T @ c.Vc for F in g("FL")]),
+    # primal route, test space W(xi) = sum_i lambda_i(xi) Y_i
+    "Ys": lambda c, g: [f.solve(c.model.gram_v0 @ c.Vc, transpose=True)
+                        for f in c.precond.factorizations],
+    "YAV": lambda c, g: [[Y.T @ FA for FA in g("FA_V")] for Y in g("Ys")],
+    "Yb": lambda c, g: [[Y.T @ Fb for Fb in g("Fb")] for Y in g("Ys")],
+    # primal residual in the R_V0 dual norm
+    "RAA": lambda c, g: _pairs(c, g("FA_V"), c._ca, g("FA_V"), c._ca),
+    "Rbb": lambda c, g: _pairs(c, g("Fb"), c._cb, g("Fb"), c._cb, z_b=g("zb")),
+    "RAb": lambda c, g: _pairs(c, g("FA_V"), c._ca, g("Fb"), c._cb, z_b=g("zb")),
+    # dual route
+    "QAV": lambda c, g: _AffineBlocks(c._ca, [c.WQc.T @ F for F in g("FA_V")]),
+    "Qb": lambda c, g: _AffineBlocks(c._cb, [c.WQc.T @ F for F in g("Fb")]),
+    "QAQ": lambda c, g: _AffineBlocks(c._ca, [c.WQc.T @ F for F in g("FA_Q")]),
+    "QL": lambda c, g: _AffineBlocks(c._cl, [c.WQc.T @ F for F in g("FL")]),
+    "LQ": lambda c, g: _AffineBlocks(c._cl, [F.T @ c.WQc for F in g("FL")]),
+    "KQ": lambda c, g: _pairs(c, g("FAt_Q"), c._ca, g("FAt_Q"), c._ca),
+    "CQ": lambda c, g: _pairs(c, g("FAt_Q"), c._ca, g("FL"), c._cl, z_b=g("zL")),
+    "LXQ": lambda c, g: g("CQ").transposed(),
+    "GLL": lambda c, g: _pairs(c, g("FL"), c._cl, g("FL"), c._cl, z_b=g("zL")),
+    # saddle route over T = V + WQ
+    "Tb": lambda c, g: _AffineBlocks(c._cb, [g("T").columns.T @ F for F in g("Fb")]),
+    "TAT": lambda c, g: _AffineBlocks(c._ca, [g("T").columns.T @ F for F in g("FA_T")]),
+    "LT": lambda c, g: _AffineBlocks(c._cl, [F.T @ g("T").columns for F in g("FL")]),
+    "TAV": lambda c, g: _AffineBlocks(c._ca, [g("T").columns.T @ F for F in g("FA_V")]),
+    "KT": lambda c, g: _pairs(c, g("FAt_T"), c._ca, g("FAt_T"), c._ca, z_b=g("zAt_T")),
+    "CT": lambda c, g: _pairs(c, g("FAt_T"), c._ca, g("FL"), c._cl, z_b=g("zL")),
+    "LXT": lambda c, g: g("CT").transposed(),
+    "RTT": lambda c, g: _pairs(c, g("FA_T"), c._ca, g("FA_T"), c._ca),
+    "RTb": lambda c, g: _pairs(c, g("FA_T"), c._ca, g("Fb"), c._cb, z_b=g("zb")),
+}
+
+
+class _CachedBlocks(_Blocks):
+    """The blocks of a :class:`ReducedCache` evaluated at one point."""
+
+    def __init__(self, cache, xi):
+        self.cache, self.xi = cache, xi
+        self.spd, self.l = cache._spd, cache.model.l
+        self.r, self.k = cache.r, cache.k
+
+    @property
+    def p(self):
+        return self.cache.p
+
+    def _block(self, name):
+        cache = self.cache
+        if cache._precond_w and name in ("WAV", "Wb"):
+            self.WAV, self.Wb = cache._precond_primal_system(self.xi)
+            return self.__dict__[name]
+        if name not in _GROUPS:
+            raise AttributeError(name)
+        return cache._get(name).at(self.xi)
+
+
 class ReducedCache:
-    """Precomputed reduced blocks for one model and one space configuration.
+    """Reduced blocks for one model and one space configuration.
 
     Parameters
     ----------
@@ -278,105 +488,43 @@ class ReducedCache:
     precond : InverseInterpolant, optional
         Drives the parameter-dependent test space of general models; ignored
         as a test space for spd models (Galerkin is optimal there).
-    saddle : bool
-        Also precompute the blocks of the saddle route over T = W + WQ.
 
-    The cache is immutable; rebuild it after every enrichment.
+    Each block group is built on its first use, under a per-cache lock, so a
+    route builds only what it reads and pool threads can share one cache.
+    The spaces are fixed; build a new cache after every enrichment.
     """
 
-    def __init__(self, model, V=None, WQ=None, precond=None, saddle=False,
-                 tol_rank=1e-10):
+    def __init__(self, model, V=None, WQ=None, precond=None, tol_rank=1e-10):
         self.model = model
         n = model.n
         self.Vc = as_columns(V) if V is not None else np.zeros((n, 0))
         self.WQc = as_columns(WQ) if WQ is not None else np.zeros((n, 0))
         self.precond = precond
-        self.saddle = bool(saddle)
         self.tol_rank = float(tol_rank)
-        spd = model.symmetry == "spd"
-        self._spd = spd
-        ca = [c for c, _ in model.A.terms]
-        cb = [c for c, _ in model.b.terms]
-        cl = [c for c, _ in model.L.terms]
-        self._ca, self._cb, self._cl = ca, cb, cl
+        self._spd = model.symmetry == "spd"
+        # a general model with interpolation points gets the test space
+        # W(xi) = P_m(xi)^* R_V0 V, and its saddle route a T(xi) to match
+        self._precond_w = not self._spd and precond is not None and precond.m > 0
+        self._ca = [c for c, _ in model.A.terms]
+        self._cb = [c for c, _ in model.b.terms]
+        self._cl = [c for c, _ in model.L.terms]
+        self._groups = {}
+        self._lock = threading.RLock()
 
-        # term families (kept for residual-vector evaluation)
-        self._FA_V = _term_family(model.A, self.Vc)
-        self._Fb = _term_family(model.b)
-        self._FL = _term_family(model.L, transpose=True)
+    def _get(self, name):
+        """The block group ``name``, built on first use."""
+        group = self._groups.get(name)
+        if group is None:
+            with self._lock:
+                group = self._groups.get(name)
+                if group is None:
+                    group = _GROUPS[name](self, self._get)
+                    self._groups[name] = group
+        return group
 
-        riesz = model.riesz_v0
-
-        def pair(fam_a, coeffs_a, fam_b, coeffs_b, z_b=None):
-            zb = [riesz(F) for F in fam_b] if z_b is None else z_b
-            blocks = [[Fa.T @ Zb for Zb in zb] for Fa in fam_a]
-            return _PairBlocks(coeffs_a, coeffs_b, blocks), zb
-
-        # primal route -------------------------------------------------
-        self._w_mode = "fixed"
-        if not spd and precond is not None and precond.m > 0:
-            self._w_mode = "precond"
-            gv = model.gram_v0 @ self.Vc
-            self._Ys = [f.solve(gv, transpose=True) for f in precond.factorizations]
-            self._YAV = [[Y.T @ FA for FA in self._FA_V] for Y in self._Ys]
-            self._Yb = [[Y.T @ Fb for Fb in self._Fb] for Y in self._Ys]
-        else:
-            self._PAV = _AffineBlocks(ca, [self.Vc.T @ F for F in self._FA_V])
-            self._Pb = _AffineBlocks(cb, [self.Vc.T @ F for F in self._Fb])
-        self._LV = _AffineBlocks(cl, [F.T @ self.Vc for F in self._FL])
-
-        # primal residual in the R_V0 dual norm
-        self._RAA, _ = pair(self._FA_V, ca, self._FA_V, ca)
-        self._Rbb, zb = pair(self._Fb, cb, self._Fb, cb)
-        self._RAb, _ = pair(self._FA_V, ca, self._Fb, cb, z_b=zb)
-
-        # dual route ---------------------------------------------------
-        self._FAt_WQ = _term_family(model.A, self.WQc, transpose=True)
-        self._KQ, _ = pair(self._FAt_WQ, ca, self._FAt_WQ, ca)
-        self._zL = [riesz(F) for F in self._FL]
-        self._CQ, _ = pair(self._FAt_WQ, ca, self._FL, cl, z_b=self._zL)
-        self._GLL, _ = pair(self._FL, cl, self._FL, cl, z_b=self._zL)
-        self._QAV = _AffineBlocks(ca, [self.WQc.T @ F for F in self._FA_V])
-        self._Qb = _AffineBlocks(cb, [self.WQc.T @ F for F in self._Fb])
-        if spd:
-            FA_WQ = _term_family(model.A, self.WQc)
-            self._QAQ = _AffineBlocks(ca, [self.WQc.T @ F for F in FA_WQ])
-            self._QLt = _AffineBlocks(cl, [self.WQc.T @ F for F in self._FL])
-            self._LWQ = _AffineBlocks(cl, [F.T @ self.WQc for F in self._FL])
-        else:
-            # L R_V0^{-1} A^T WQ per (L-term, A-term): reuse CQ blocks
-            blocks = [[self._CQ.blocks[k][j].T for k in range(len(ca))]
-                      for j in range(len(cl))]
-            self._LXQ = _PairBlocks(cl, ca, blocks)
-
-        # saddle route ---------------------------------------------------
-        self._T = None
-        self._t_dynamic = False
-        if self.saddle:
-            if self._w_mode == "precond":
-                self._t_dynamic = True
-            else:
-                self._T = union_basis(
-                    [self.Vc, self.WQc], gram=model.gram_v0,
-                    tol_rank=self.tol_rank, name="T",
-                )
-                Tc = self._T.columns
-                FA_T = _term_family(model.A, Tc)
-                FAt_T = _term_family(model.A, Tc, transpose=True)
-                self._zAt_T = [riesz(F) for F in FAt_T]
-                self._KT, _ = pair(FAt_T, ca, FAt_T, ca, z_b=self._zAt_T)
-                self._CT, _ = pair(FAt_T, ca, self._FL, cl, z_b=self._zL)
-                self._Tb = _AffineBlocks(cb, [Tc.T @ F for F in self._Fb])
-                self._RTT, _ = pair(FA_T, ca, FA_T, ca)
-                self._RTb, _ = pair(FA_T, ca, self._Fb, cb, z_b=zb)
-                if spd:
-                    self._TAT = _AffineBlocks(ca, [Tc.T @ F for F in FA_T])
-                    self._LT = _AffineBlocks(cl, [F.T @ Tc for F in self._FL])
-                else:
-                    self._TAV = _AffineBlocks(ca, [Tc.T @ F for F in self._FA_V])
-                    blocks = [[self._CT.blocks[k][j].T for k in range(len(ca))]
-                              for j in range(len(cl))]
-                    self._LXT = _PairBlocks(cl, ca, blocks)
+    def at(self, xi):
+        """The reduced blocks at ``xi``, each evaluated on first read."""
+        return _CachedBlocks(self, xi)
 
     # -- dims ------------------------------------------------------------
 
@@ -390,106 +538,52 @@ class ReducedCache:
 
     @property
     def p(self):
-        if self._T is not None:
-            return self._T.dim
-        return self.r + self.k
+        return self._get("T").dim
 
     # -- online solves ----------------------------------------------------
 
-    def _primal_system(self, xi):
+    def _precond_primal_system(self, xi):
         if self.r == 0:
             return np.zeros((0, 0)), np.zeros(0)
-        if self._w_mode == "fixed":
-            return self._PAV.at(xi), self._Pb.at(xi).ravel()
         lam = self.precond.coefficients(xi)
         ta = np.array([c(xi) for c in self._ca])
         tb = np.array([c(xi) for c in self._cb])
+        YAV, Yb = self._get("YAV"), self._get("Yb")
         M = np.zeros((self.r, self.r))
         rhs = np.zeros(self.r)
         for i, li in enumerate(lam):
             if li == 0.0:
                 continue
             for k, t in enumerate(ta):
-                M += (li * t) * self._YAV[i][k]
+                M += (li * t) * YAV[i][k]
             for j, t in enumerate(tb):
-                rhs += (li * t) * self._Yb[i][j].ravel()
+                rhs += (li * t) * Yb[i][j].ravel()
         return M, rhs
 
     def solve_primal(self, xi):
-        M, rhs = self._primal_system(xi)
-        U = solve_checked(M, rhs, "Petrov-Galerkin reduced system")
-        s = self._LV.at(xi) @ U if self.r else np.zeros(self.model.l)
-        return OutputEstimate(np.asarray(s), "primal", primal_coeffs=U)
-
-    def _dual_correction(self, xi, rhs):
-        if self.k == 0:
-            return np.zeros(0), np.zeros(self.model.l)
-        M = self._QAQ.at(xi) if self._spd else self._KQ.at(xi)
-        Y = solve_checked(M, rhs, "dual reduced system")
-        if self._spd:
-            corr = self._LWQ.at(xi) @ Y
-        else:
-            corr = self._LXQ.at(xi) @ Y
-        return Y, np.asarray(corr)
+        return self.at(xi).solve_primal()
 
     def solve_dual_only(self, xi):
-        Y, s = self._dual_correction(xi, self._Qb.at(xi).ravel() if self.k else np.zeros(0))
-        return OutputEstimate(s, "dual", dual_coeffs=Y)
+        return self.at(xi).solve_dual_only()
 
     def solve_primal_dual(self, xi):
-        primal = self.solve_primal(xi)
-        rhs = (self._Qb.at(xi).ravel() - self._QAV.at(xi) @ primal.primal_coeffs
-               if self.k else np.zeros(0))
-        Y, corr = self._dual_correction(xi, rhs)
-        return OutputEstimate(primal.s_tilde + corr, "primal-dual",
-                              primal_coeffs=primal.primal_coeffs, dual_coeffs=Y)
+        return self.at(xi).solve_primal_dual()
 
     def solve_saddle(self, xi):
-        if not self.saddle:
-            raise ValueError("cache was built without saddle blocks")
-        if self._t_dynamic:
+        if self._precond_w:
             return self._solve_saddle_dynamic(xi)
-        if self._spd:
-            if self.p == 0:
-                return OutputEstimate(np.zeros(self.model.l), "saddle",
-                                      t_coeffs=np.zeros(0))
-            M = self._TAT.at(xi)
-            try:
-                cho = la.cho_factor(0.5 * (M + M.T), check_finite=False)
-            except la.LinAlgError as exc:
-                raise ReducedSolveError(
-                    f"saddle reduced matrix is not SPD ({exc}); model misuse?"
-                ) from exc
-            Y = la.cho_solve(cho, self._Tb.at(xi).ravel(), check_finite=False)
-            s = self._LT.at(xi) @ Y
-            return OutputEstimate(np.asarray(s), "saddle", t_coeffs=Y)
-        p, r = self.p, self.r
-        if p == 0 and r > 0:
-            raise ReducedSolveError(
-                "saddle space is empty while the primal space is not"
-            )
-        if p == 0:
-            return OutputEstimate(np.zeros(self.model.l), "saddle",
-                                  primal_coeffs=np.zeros(0), dual_coeffs=np.zeros(0))
-        K = self._KT.at(xi)
-        B = self._TAV.at(xi)
-        big = np.block([[K, B], [B.T, np.zeros((r, r))]])
-        rhs = np.concatenate([self._Tb.at(xi).ravel(), np.zeros(r)])
-        sol = solve_checked(big, rhs, "saddle block system")
-        Y, U = sol[:p], sol[p:]
-        s = (self._LV.at(xi) @ U) + self._LXT.at(xi) @ Y
-        return OutputEstimate(np.asarray(s), "saddle",
-                              primal_coeffs=U, dual_coeffs=Y)
+        blocks = self.at(xi)
+        return blocks.solve_saddle_spd() if self._spd else blocks.solve_saddle_general()
 
     def _solve_saddle_dynamic(self, xi):
         # parameter-dependent T(xi) = (W_r(xi), WQ): assembled at full order,
         # using only the stored factorizations and the cached R_V0 factor
         lam = self.precond.coefficients(xi)
-        W = sum(li * Y for li, Y in zip(lam, self._Ys)) if self.r else np.zeros((self.model.n, 0))
+        W = (sum(li * Y for li, Y in zip(lam, self._get("Ys"))) if self.r
+             else np.zeros((self.model.n, 0)))
         T = union_basis([W, self.WQc], gram=self.model.gram_v0,
                         tol_rank=self.tol_rank, name="T")
-        est = saddle_general_solve(self.model, xi, self.Vc, T)
-        return est
+        return saddle_general_solve(self.model, xi, self.Vc, T)
 
     def solve(self, xi, method):
         if method == "primal":
@@ -506,83 +600,67 @@ class ReducedCache:
 
     def primal_residual_norm(self, xi, U):
         """|| b(xi) - A(xi) V U || in the R_V0 dual norm, via cached blocks."""
-        s0 = float(self._Rbb.at(xi).item())
-        if self.r == 0 or U is None or U.size == 0:
-            return np.sqrt(max(s0, 0.0))
-        P = self._RAA.at(xi)
-        q = self._RAb.at(xi).ravel()
-        val = float(U @ (P @ U) - 2.0 * (q @ U) + s0)
-        return np.sqrt(max(clip_nonneg(val, 1e-10), 0.0))
+        return self.at(xi).primal_residual_norm(U)
 
     def residual_vector(self, xi, U):
         """b(xi) - A(xi) V U as a full-order vector (from cached term images)."""
         tb = np.array([c(xi) for c in self._cb])
-        r = sum(t * F.ravel() for t, F in zip(tb, self._Fb))
+        r = sum(t * F.ravel() for t, F in zip(tb, self._get("Fb")))
         if self.r and U is not None and U.size:
             ta = np.array([c(xi) for c in self._ca])
-            r = r - sum(t * (F @ U) for t, F in zip(ta, self._FA_V))
+            r = r - sum(t * (F @ U) for t, F in zip(ta, self._get("FA_V")))
         return np.asarray(r)
 
     def min_residual_over_T(self, xi):
         """min over t in T of || A(xi) t - b(xi) || in the R_V0 dual norm."""
-        s0 = float(self._Rbb.at(xi).item())
-        if self._T is None or self._T.dim == 0:
-            return np.sqrt(max(s0, 0.0))
-        P = self._RTT.at(xi)
-        q = self._RTb.at(xi).ravel()
-        copt = solve_spd_min(P, q)
-        val = s0 - float(q @ copt)
-        return np.sqrt(max(clip_nonneg(val, 1e-10), 0.0))
+        return self.at(xi).min_residual_over_T()
 
     def saddle_corrected_point(self, xi, est):
-        """t = V u + R_V0^{-1} A(xi)^T T y for a general saddle solution."""
+        """The saddle point t of a saddle solution ``est``.
+
+        t = T y for spd models and V u + R_V0^{-1} A(xi)^T T y otherwise,
+        with T fixed or, under a preconditioner, the T(xi) ``est`` carries.
+        """
+        n = self.model.n
+        if self._spd:
+            return (self._get("T").columns @ est.t_coeffs if est.t_coeffs.size
+                    else np.zeros(n))
         if est.aux:
-            X = est.aux["X"]
-            t = X @ est.dual_coeffs
+            t = est.aux["X"] @ est.dual_coeffs
         else:
             ta = np.array([c(xi) for c in self._ca])
-            X = sum(t * Z for t, Z in zip(ta, self._zAt_T))
-            t = X @ est.dual_coeffs if est.dual_coeffs.size else np.zeros(self.model.n)
+            X = sum(t * Z for t, Z in zip(ta, self._get("zAt_T")))
+            t = X @ est.dual_coeffs if est.dual_coeffs.size else np.zeros(n)
         if self.r and est.primal_coeffs is not None and est.primal_coeffs.size:
             t = t + self.Vc @ est.primal_coeffs
         return t
 
-    def _dual_blocks(self, xi, space):
-        if space == "WQ":
-            K = self._KQ.at(xi) if self.k else np.zeros((0, 0))
-            C = self._CQ.at(xi) if self.k else np.zeros((0, self.model.l))
-        elif space == "T":
-            dim = 0 if self._T is None else self._T.dim
-            K = self._KT.at(xi) if dim else np.zeros((0, 0))
-            C = self._CT.at(xi) if dim else np.zeros((0, self.model.l))
-        else:
-            raise ValueError(f"unknown space {space!r}")
-        return K, C, self._GLL.at(xi)
-
     def dual_schur(self, xi, space="WQ"):
         """G_LL - C^T K^{-1} C: the Gram of the dual-residual minimization."""
-        K, C, G = self._dual_blocks(xi, space)
-        if K.shape[0] == 0:
-            return G
-        return G - C.T @ solve_spd_min(K, C)
+        return self.at(xi).dual_schur(space)
 
     def dual_schur_dynamic(self, xi, est):
         """Dual Schur complement over a parameter-dependent T carried by est."""
-        X = est.aux["X"]
-        K = est.aux["K"]
         tl = np.array([c(xi) for c in self._cl])
-        Lt = sum(t * F for t, F in zip(tl, self._FL))
-        C = X.T @ Lt
-        G = self._GLL.at(xi)
-        return G - C.T @ solve_spd_min(K, C)
+        Lt = sum(t * F for t, F in zip(tl, self._get("FL")))
+        return _dual_schur(est.aux["K"], est.aux["X"].T @ Lt, self.at(xi).GLL)
 
     def pd_dual_matrix(self, xi):
         """(L^* - A^* Q_k)-Gram in the R_V0 dual norm, as an l x l matrix."""
-        K, C, G = self._dual_blocks(xi, "WQ")
-        if K.shape[0] == 0:
-            return G
-        if not self._spd:
-            return G - C.T @ solve_spd_min(K, C)
-        qhat = solve_checked(self._QAQ.at(xi), self._QLt.at(xi),
-                             "dual minimizer system")
-        return G - C.T @ qhat - qhat.T @ C + qhat.T @ (K @ qhat)
+        return self.at(xi).pd_dual_matrix()
+
+
+def map_points(fn, points, threads=None):
+    """Order-preserving map of ``fn`` over parameter points on a thread pool.
+
+    The first point runs in the calling thread, so the blocks a shared
+    :class:`ReducedCache` builds on first use land in the main malloc arena:
+    built by a pool worker, they would stay in its arena after the command.
+    ``threads=None`` lets the pool pick its size.
+    """
+    points = list(points)
+    if not points:
+        return []
+    first = fn(points[0])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return [first] + list(pool.map(fn, points[1:]))

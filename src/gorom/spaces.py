@@ -1,4 +1,4 @@
-"""Orthonormal reduced bases and greedy enrichment moves.
+"""Orthonormal reduced bases and their sums.
 
 Every basis is orthonormal with respect to one fixed SPD Gram matrix
 (in practice the parameter-independent R_V0); parameter-dependent norms
@@ -14,14 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import mmread, mmwrite
 
-__all__ = [
-    "Basis",
-    "orthonormalize_append",
-    "enrich_primal",
-    "enrich_dual_full",
-    "enrich_dual_partial",
-    "union_basis",
-]
+__all__ = ["Basis", "union_basis"]
 
 DEFAULT_TOL_RANK = 1e-10
 
@@ -126,30 +119,6 @@ class Basis:
 
     def __repr__(self):
         return f"Basis(name={self.name!r}, n={self.n}, dim={self.dim})"
-
-
-def orthonormalize_append(basis, v):
-    """Functional alias of :meth:`Basis.append`; 'accepted'/'rejected' as bool."""
-    return basis.append(v)
-
-
-def enrich_primal(basis, u_star):
-    """Grow the primal space by one solution snapshot."""
-    return basis.append(u_star)
-
-
-def enrich_dual_full(basis, Q_star):
-    """Grow the dual space by the whole range of a dual snapshot.
-
-    Columns are appended in order; rank-deficient columns are rejected.
-    Returns the number of accepted columns.
-    """
-    return basis.extend(Q_star)
-
-
-def enrich_dual_partial(basis, Qz):
-    """Grow the dual space by a single directionally-selected dual vector."""
-    return basis.append(Qz)
 
 
 def union_basis(parts, gram=None, tol_rank=DEFAULT_TOL_RANK, name=""):

@@ -200,7 +200,7 @@ def test_criterion_05_squared_effect(spd_mid):
 
 def test_criterion_06_certified_effectivity(spd_mid, spd_mid_spaces):
     V, WQ = spd_mid_spaces
-    cache = ReducedCache(spd_mid, V, WQ, saddle=True)
+    cache = ReducedCache(spd_mid, V, WQ)
     xis = spd_mid.domain.sample(200, np.random.default_rng(306))
     stats = {}
     data = {}
@@ -343,8 +343,7 @@ def test_criterion_11_effectivity_improves_with_m(gen_mid):
             P = InverseInterpolant(gen_mid, sketch_size=400, seed=39,
                                    positivity=True)
             P.add_greedy_points(candidates, m)
-            cache = ReducedCache(gen_mid, V, WQ, precond=P,
-                                 saddle=(method == "saddle"))
+            cache = ReducedCache(gen_mid, V, WQ, precond=P)
             deltas, errors, snorms = [], [], []
             for xi, s in zip(xis, truth):
                 sol = cache.solve(xi, method)

@@ -101,6 +101,26 @@ def test_eval_exact_spaces_consistency(workspace, tmp_path):
         assert np.linalg.norm(st - se, np.inf) <= 1e-9
 
 
+@pytest.mark.parametrize("method", ["primal", "saddle"])
+def test_eval_spd_makes_no_riesz_solves(workspace, tmp_path, monkeypatch, method):
+    # on an spd bundle these routes read only blocks of A, b and L restricted
+    # to V or T = V + WQ: no block needs an R_V0 solve
+    from gorom import FullOrderModel
+    calls = []
+    original = FullOrderModel.riesz_v0
+
+    def counting(self, X):
+        calls.append(np.shape(X))
+        return original(self, X)
+
+    monkeypatch.setattr(FullOrderModel, "riesz_v0", counting)
+    ws = workspace
+    assert run("eval", "--bundle", ws / "bundle", "--spaces", ws / "spaces",
+               "--method", method, "--xi-file", ws / "truth.csv",
+               "--out", tmp_path / "est.csv") == 0
+    assert calls == []
+
+
 def test_constants_and_compare(workspace):
     ws = workspace
     assert run("constants", "--bundle", ws / "bundle", "--spaces", ws / "spaces",
@@ -154,6 +174,14 @@ def test_pipeline_determinism(tmp_path):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
     # est.csv carries a measured wall time; identical modulo that column
     assert _strip_wall_time(a / "est.csv") == _strip_wall_time(b / "est.csv")
+    # concurrent first use of a fresh cache's blocks gives the serial rows
+    for method in ("primal", "dual", "primal-dual", "saddle"):
+        for threads in (1, 4):
+            run("eval", "--bundle", a / "bundle", "--spaces", a / "spaces",
+                "--method", method, "--xi-file", a / "truth.csv",
+                "--threads", threads, "--out", a / f"est-{method}-{threads}.csv")
+        assert _strip_wall_time(a / f"est-{method}-1.csv") \
+            == _strip_wall_time(a / f"est-{method}-4.csv"), method
 
 
 def test_cli_errors(tmp_path, capsys):

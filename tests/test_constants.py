@@ -164,17 +164,6 @@ def test_delta_below_one_when_pg_solvable(gen_small, gen_spaces):
         assert delta_VW(gen_small, xi, V, V) < 1.0
 
 
-def test_continuity_beta_diagnostic(gen_small):
-    from gorom import continuity_beta
-    xi = gen_small.domain.sample(1, np.random.default_rng(12))[0]
-    A = gen_small.operator_at(xi).toarray()
-    R = np.asarray(gen_small.gram_v0.todense())
-    exact = np.sqrt(la.eigvalsh(A.T @ la.solve(R, A), R)[-1])
-    assert continuity_beta(gen_small, xi, iters=400) == pytest.approx(exact, rel=1e-3)
-    # a lower bound by construction (Rayleigh quotient of the exact pencil)
-    assert continuity_beta(gen_small, xi, iters=20) <= exact * (1 + 1e-12)
-
-
 def test_degenerate_test_space_raises():
     rng = np.random.default_rng(11)
     model = make_dense_model(rng, n=20, symmetric=False)

@@ -49,6 +49,24 @@ def test_min_theta_requires_flag(gen_small):
         alpha_min_theta(gen_small, gen_small.xi_ref)
 
 
+def test_min_theta_checks_reference_gram_once(monkeypatch):
+    from gorom import AffineForm, FullOrderModel
+    cfg = ProblemConfig(n=25, d=2, l=3, seed=5, kind="diffusion-spd")
+    model = make_diffusion_problem(cfg)
+    calls = []
+    original = AffineForm.__call__
+    monkeypatch.setattr(AffineForm, "__call__",
+                        lambda form, xi: calls.append(xi) or original(form, xi))
+    for xi in model.domain.sample(4, np.random.default_rng(30)):
+        alpha_min_theta(model, xi)
+    assert len(calls) == 1  # A(xi_ref), assembled for the first call only
+    shifted = FullOrderModel(model.A, model.b, model.L, 2.0 * model.gram_v0,
+                             model.gram_z, model.domain, "spd", model.xi_ref,
+                             coercive_affine=True)
+    with pytest.raises(UnsupportedModelError):
+        alpha_min_theta(shifted, model.xi_ref)
+
+
 def test_estimate_requires_alpha(spd_small, spd_spaces):
     V, WQ = spd_spaces
     cache = ReducedCache(spd_small, V, WQ)
@@ -67,7 +85,7 @@ def test_estimate_zero_when_spaces_exact(spd_small, spd_spaces):
     Vx.append(u)
     WQx = Basis(spd_small.gram_v0, spd_small.n)
     WQx.extend(dual_truth_solve(spd_small, xi, factorization=fact))
-    cache = ReducedCache(spd_small, Vx, WQx, saddle=True)
+    cache = ReducedCache(spd_small, Vx, WQx)
     alpha = alpha_min_theta(spd_small, xi)
     scale_cache = ReducedCache(spd_small, None, None)
     sol0 = scale_cache.solve_primal_dual(xi)
@@ -105,7 +123,7 @@ def test_estimate_matches_dense_oracle():
 
 
 def _eta_samples(model, V, WQ, count, seed, saddle=False):
-    cache = ReducedCache(model, V, WQ, saddle=saddle)
+    cache = ReducedCache(model, V, WQ)
     deltas, errors, snorms = [], [], []
     for xi in model.domain.sample(count, np.random.default_rng(seed)):
         alpha = alpha_min_theta(model, xi)
@@ -136,7 +154,7 @@ def test_certified_with_exact_alpha(spd_small, spd_spaces):
     # with the exact coercivity constant lambda_min(A, R_V0) the bounds are
     # still certified; the min-theta lower bound can only enlarge them
     V, WQ = spd_spaces
-    cache = ReducedCache(spd_small, V, WQ, saddle=True)
+    cache = ReducedCache(spd_small, V, WQ)
     R = np.asarray(spd_small.gram_v0.todense())
     for xi in spd_small.domain.sample(10, np.random.default_rng(20)):
         exact = la.eigvalsh(spd_small.operator_at(xi).toarray(), R)[0]
@@ -160,7 +178,7 @@ def test_dual_factor_matches_constants_route(gen_small, gen_spaces):
     # explicit full-order residual columns (independent code path)
     from gorom import delta_L, union_basis
     V, WQ = gen_spaces
-    cache = ReducedCache(gen_small, V, WQ, saddle=True)
+    cache = ReducedCache(gen_small, V, WQ)
     T = union_basis([V, WQ], gram=gen_small.gram_v0)
     for xi in gen_small.domain.sample(5, np.random.default_rng(21)):
         schur_wq = cache.dual_schur(xi, "WQ")

@@ -6,9 +6,7 @@ from gorom import (
     ProblemConfig,
     argmax_delta,
     make_diffusion_problem,
-    run_alternate,
     run_greedy,
-    run_simultaneous,
     truth_solve,
 )
 
@@ -37,7 +35,7 @@ def test_argmax_basics():
 
 def test_single_iteration_full(tiny_spd):
     cfg = GreedyConfig(max_iter=1, enrichment="full", train_count=15, train_seed=1)
-    res = run_simultaneous(tiny_spd, cfg)
+    res = run_greedy(tiny_spd, cfg)
     it = res.trace.iterations[0]
     assert it.r == 1 and it.k == tiny_spd.l
     assert it.factorizations == 1
@@ -47,13 +45,13 @@ def test_single_iteration_full(tiny_spd):
 def test_single_iteration_partial(tiny_spd):
     cfg = GreedyConfig(max_iter=1, enrichment="partial",
                        train_count=15, train_seed=1)
-    res = run_simultaneous(tiny_spd, cfg)
+    res = run_greedy(tiny_spd, cfg)
     assert res.trace.iterations[0].k == 1
 
 
 def test_full_enrichment_kills_selected_point(tiny_spd):
     cfg = GreedyConfig(max_iter=3, enrichment="full", train_count=15, train_seed=2)
-    res = run_simultaneous(tiny_spd, cfg)
+    res = run_greedy(tiny_spd, cfg)
     first_sup = res.trace.iterations[0].sup_delta
     for it in res.trace.iterations[1:]:
         # estimates at all previously selected points are annihilated
@@ -63,21 +61,21 @@ def test_full_enrichment_kills_selected_point(tiny_spd):
 def test_dimension_growth_caps(tiny_spd):
     l = tiny_spd.l
     cfg = GreedyConfig(max_iter=4, enrichment="full", train_count=15, train_seed=3)
-    res = run_simultaneous(tiny_spd, cfg)
+    res = run_greedy(tiny_spd, cfg)
     ks = [it.k for it in res.trace.iterations]
     rejected = sum(it.rejected_dual for it in res.trace.iterations)
     assert ks[-1] == 4 * l - rejected
     assert all(b - a <= l for a, b in zip([0] + ks, ks))
     cfgp = GreedyConfig(max_iter=4, enrichment="partial",
                         train_count=15, train_seed=3)
-    resp = run_simultaneous(tiny_spd, cfgp)
+    resp = run_greedy(tiny_spd, cfgp)
     assert resp.trace.iterations[-1].k <= 4
 
 
 def test_alternate_schedule(tiny_spd):
     cfg = GreedyConfig(max_iter=2, schedule="alternate", enrichment="full",
                        train_count=15, train_seed=4)
-    res = run_alternate(tiny_spd, cfg)
+    res = run_greedy(tiny_spd, cfg)
     its = res.trace.iterations
     assert its[0].enriched == "primal" and its[1].enriched == "dual-full"
     assert its[-1].r == 1 and its[-1].k in (1, tiny_spd.l)
@@ -89,9 +87,9 @@ def test_alternate_schedule(tiny_spd):
 
 def test_alternate_doubles_offline_cost(tiny_spd):
     # matching (r, k) needs about twice the factorizations of simultaneous
-    sim = run_simultaneous(tiny_spd, GreedyConfig(
+    sim = run_greedy(tiny_spd, GreedyConfig(
         max_iter=3, enrichment="partial", train_count=15, train_seed=5))
-    alt = run_alternate(tiny_spd, GreedyConfig(
+    alt = run_greedy(tiny_spd, GreedyConfig(
         max_iter=6, schedule="alternate", enrichment="partial",
         train_count=15, train_seed=5))
     s_last = sim.trace.iterations[-1]

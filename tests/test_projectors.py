@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -345,7 +349,7 @@ def test_cache_matches_direct_methods(which, spd_small, gen_small,
                                       spd_spaces, gen_spaces):
     model = spd_small if which == "spd" else gen_small
     V, WQ = spd_spaces if which == "spd" else gen_spaces
-    cache = ReducedCache(model, V, WQ, saddle=True)
+    cache = ReducedCache(model, V, WQ)
     T = union_basis([V, WQ], gram=model.gram_v0)
     for xi in model.domain.sample(4, np.random.default_rng(24)):
         pg = petrov_galerkin_solve(model, xi, V)
@@ -369,7 +373,7 @@ def test_cache_precond_test_space_matches_direct(gen_small, gen_spaces):
     P = InverseInterpolant(gen_small, sketch_size=40, seed=7)
     for pt in gen_small.domain.sample(2, rng):
         P.add_point(pt)
-    cache = ReducedCache(gen_small, V, WQ, precond=P, saddle=True)
+    cache = ReducedCache(gen_small, V, WQ, precond=P)
     for xi in gen_small.domain.sample(3, rng):
         W = build_test_space(gen_small, V, P, xi)
         pg = petrov_galerkin_solve(gen_small, xi, V, W)
@@ -379,6 +383,64 @@ def test_cache_precond_test_space_matches_direct(gen_small, gen_spaces):
         sd = saddle_general_solve(gen_small, xi, V, T)
         np.testing.assert_allclose(cache.solve(xi, "saddle").s_tilde,
                                    sd.s_tilde, rtol=1e-8, atol=1e-13)
+
+
+@pytest.mark.parametrize("which", ["spd", "general"])
+def test_cache_concurrent_first_use_builds_each_group_once(
+        which, spd_small, gen_small, spd_spaces, gen_spaces, monkeypatch):
+    from gorom import projectors
+    model = spd_small if which == "spd" else gen_small
+    V, WQ = spd_spaces if which == "spd" else gen_spaces
+    builds = []
+    for name, build in list(projectors._GROUPS.items()):
+        monkeypatch.setitem(projectors._GROUPS, name,
+                            lambda c, g, name=name, build=build:
+                            builds.append(name) or build(c, g))
+    work = [(xi, method) for xi in model.domain.sample(6, np.random.default_rng(27))
+            for method in ("primal", "dual", "primal-dual", "saddle")]
+    serial = ReducedCache(model, V, WQ)
+    expected = [serial.solve(xi, method).s_tilde for xi, method in work]
+    serial_builds = sorted(builds)
+    builds.clear()
+    cache = ReducedCache(model, V, WQ)
+    start = threading.Barrier(8)
+
+    def run_all():
+        start.wait(timeout=60)  # every thread asks for the first block at once
+        return [cache.solve(xi, method).s_tilde for xi, method in work]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run_all) for _ in range(8)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(serial_builds)) == len(serial_builds)
+    assert sorted(builds) == serial_builds  # each group built once, by one thread
+    for got in results:
+        for a, b in zip(expected, got):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("method", ["primal", "dual", "primal-dual", "saddle"])
+def test_map_points_builds_blocks_in_calling_thread(
+        method, spd_small, spd_spaces, monkeypatch):
+    from gorom import projectors
+    V, WQ = spd_spaces
+    builders = []
+    for name, build in list(projectors._GROUPS.items()):
+        monkeypatch.setitem(projectors._GROUPS, name,
+                            lambda c, g, build=build:
+                            builders.append(threading.get_ident()) or build(c, g))
+    cache = ReducedCache(spd_small, V, WQ)
+    xis = spd_small.domain.sample(12, np.random.default_rng(28))
+    got = projectors.map_points(lambda xi: cache.solve(xi, method).s_tilde,
+                                xis, threads=4)
+    assert builders and set(builders) == {threading.get_ident()}
+    for xi, s in zip(xis, got):  # order preserved
+        np.testing.assert_array_equal(s, cache.solve(xi, method).s_tilde)
 
 
 def test_consistency_when_exact_everywhere(spd_small, spd_spaces):

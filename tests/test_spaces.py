@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gorom import Basis, enrich_dual_full, orthonormalize_append, union_basis
+from gorom import Basis, union_basis
 
 
 def random_gram(rng, n):
@@ -41,7 +41,7 @@ def test_orthonormality_after_appends(gram):
     basis = Basis(gram)
     rng = np.random.default_rng(3)
     for _ in range(5):
-        orthonormalize_append(basis, rng.standard_normal(20))
+        basis.append(rng.standard_normal(20))
     X = basis.columns
     np.testing.assert_allclose(X.T @ gram @ X, np.eye(basis.dim), atol=1e-10)
 
@@ -63,13 +63,13 @@ def test_full_dual_enrichment_counts(gram):
     rng = np.random.default_rng(5)
     basis = Basis(gram)
     Q = rng.standard_normal((20, 4))
-    assert enrich_dual_full(basis, Q) == 4
+    assert basis.extend(Q) == 4
     assert basis.dim == 4
     # one column already in span: only l-1 accepted
     basis2 = Basis(gram)
     Q2 = Q.copy()
     Q2[:, 2] = Q2[:, 0] * 0.3 - Q2[:, 1]
-    assert enrich_dual_full(basis2, Q2) == 3
+    assert basis2.extend(Q2) == 3
 
 
 def test_dimension_growth_matches_rank_oracle(gram):
@@ -80,7 +80,7 @@ def test_dimension_growth_matches_rank_oracle(gram):
     Q = np.column_stack([rng.standard_normal((20, 2)),
                          W0 @ rng.standard_normal(3),
                          W0[:, 0]])
-    accepted = enrich_dual_full(basis, Q)
+    accepted = basis.extend(Q)
     # oracle: rank of the stacked matrix via SVD
     rank = np.linalg.matrix_rank(np.column_stack([W0, Q]), tol=1e-10)
     assert basis.dim == rank
