@@ -85,9 +85,10 @@ def _read_xi(args, model):
 
 
 def _bundle_hash(path):
+    """sha256 over the bundle's files; its own manifest (a timestamp) is left out."""
     digest = hashlib.sha256()
     for f in sorted(Path(path).iterdir()):
-        if f.is_file():
+        if f.is_file() and f.name != "manifest.json":
             digest.update(f.name.encode())
             digest.update(f.read_bytes())
     return digest.hexdigest()
@@ -120,9 +121,20 @@ def save_spaces(result, outdir):
             fh.write("\n")
 
 
-def load_spaces(model, path):
-    """Load (V, WQ, precond-or-None) written by ``gorom offline``."""
+def load_spaces(model, path, bundle):
+    """Load (V, WQ, precond-or-None) written by ``gorom offline``.
+
+    Spaces whose ``manifest.json`` names another hash than that of the
+    ``bundle`` directory are refused; spaces without a manifest load.
+    """
     path = Path(path)
+    mfile = path / "manifest.json"
+    if mfile.is_file():
+        with open(mfile) as fh:
+            expected = json.load(fh).get("bundle_hash")
+        if expected is not None and expected != _bundle_hash(bundle):
+            raise GoromError(f"{path} was built from another bundle than {bundle}, "
+                             "or by an older gorom; re-run gorom offline on this bundle")
     V = Basis.load(path / "V.mtx", model.gram_v0)
     WQ = Basis.load(path / "WQ.mtx", model.gram_v0)
     precond = None
@@ -135,7 +147,7 @@ def load_spaces(model, path):
 
 def _load_all(args):
     model = load_bundle(args.bundle)
-    V, WQ, precond = load_spaces(model, args.spaces)
+    V, WQ, precond = load_spaces(model, args.spaces, args.bundle)
     return model, V, WQ, precond
 
 

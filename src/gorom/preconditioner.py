@@ -7,9 +7,18 @@ fitted per evaluation point by minimizing the sketched Frobenius residual
     || sum_i lambda_i A(xi_i)^{-1} A(xi) Omega - Omega ||_F,
 
 with Omega a seeded Gaussian sketch of s columns, optionally under the
-constraint lambda >= 0 (Lawson-Hanson NNLS).  The per-point images
-A(xi_i)^{-1} A^(k) Omega are precomputed once per point, so a coefficient
-fit costs one m x m solve.
+constraint lambda >= 0 (Lawson-Hanson NNLS).  With the sketch blocks
+B_ik = A(xi_i)^{-1} A^(k) Omega and A(xi) = sum_k theta_k(xi) A^(k), the
+normal equations are affine in theta (Zahm & Nouy 2016):
+
+    G_ij = sum_kk' theta_k theta_k' <B_ik, B_jk'>,   h_i = sum_k theta_k <B_ik, Omega>.
+
+``add_point`` extends the parameter-independent tensors ``gram`` and ``h``
+once per point, so a coefficient fit costs O(m^2 Q^2) plus one m x m solve
+and never touches an n-sized array.  Only the sketched objective and
+``add_point`` read the blocks themselves; an interpolant loaded with
+:meth:`from_dict` solves them again from its factorizations on that first
+read.
 
 With no points, P_0 = R_V0^{-1} by convention, which turns the derived
 test space back into the trial space (standard Galerkin) and the
@@ -19,6 +28,8 @@ preconditioned residual norm into the plain R_V0 dual norm.
 import numpy as np
 import scipy.linalg as la
 from scipy.optimize import nnls
+
+from .exceptions import GoromError
 
 __all__ = ["InverseInterpolant"]
 
@@ -35,8 +46,13 @@ class InverseInterpolant:
         self.omega = rng.standard_normal((model.n, self.s))
         self.points = []
         self.factorizations = []
-        # blocks[i][k] = A(xi_i)^{-1} A^(k) Omega
-        self._blocks = []
+        q = len(model.A.terms)
+        # gram[i, j, k, k'] = <B_ik, B_jk'> and h[i, k] = <B_ik, Omega>
+        self.gram = np.zeros((0, 0, q, q))
+        self.h = np.zeros((0, q))
+        # stacks[i][k] = B_ik = A(xi_i)^{-1} A^(k) Omega, one (Q, n, s) array
+        # per point; None until first read after from_dict
+        self._stacks = []
         self._sketch_images = _term_images(model, self.omega)
         self._riesz_images = None
 
@@ -46,11 +62,24 @@ class InverseInterpolant:
 
     @property
     def memory_bytes(self):
-        """Rough footprint of stored factorizations and sketch blocks."""
-        total = self.omega.nbytes
+        """Rough footprint of factorizations, tensors and built sketch blocks."""
+        total = self.omega.nbytes + self.gram.nbytes + self.h.nbytes
         total += sum(f.nbytes for f in self.factorizations)
-        total += sum(b.nbytes for blocks in self._blocks for b in blocks)
+        total += sum(b.nbytes for b in self._stacks or ())
         return total
+
+    @property
+    def _blocks(self):
+        """The per-point sketch blocks, solved again after a load if needed."""
+        if self._stacks is None:
+            self._stacks = [self._solve_images(f) for f in self.factorizations]
+        return self._stacks
+
+    def _solve_images(self, fact):
+        B = np.empty((len(self._sketch_images),) + self.omega.shape)
+        for k, img in enumerate(self._sketch_images):
+            B[k] = fact.solve(img)
+        return B
 
     def add_point(self, xi, factorization=None):
         """Store a new interpolation point; returns False for duplicates."""
@@ -60,13 +89,25 @@ class InverseInterpolant:
                 return False
         fact = factorization if factorization is not None \
             else self.model.factorize_operator(xi)
+        B = self._solve_images(fact)
+        stacks, m, q = self._blocks, self.m, len(B)
+        flat = B.reshape(q, -1)
+        gram = np.empty((m + 1, m + 1, q, q))
+        gram[:m, :m] = self.gram
+        for j, Bj in enumerate(stacks):
+            gram[m, j] = flat @ Bj.reshape(q, -1).T
+            gram[j, m] = gram[m, j].T
+        own = flat @ flat.T
+        gram[m, m] = np.triu(own) + np.triu(own, 1).T
+        self.gram = gram
+        self.h = np.vstack([self.h, flat @ self.omega.ravel()])
         self.points.append(xi)
         self.factorizations.append(fact)
-        self._blocks.append([fact.solve(img) for img in self._sketch_images])
+        stacks.append(B)
         return True
 
     def _sketched_images_at(self, xi):
-        """M_i = P_i A(xi) Omega for every stored point, from cached blocks."""
+        """M_i = P_i A(xi) Omega for every stored point, from the blocks."""
         thetas = self.model.A.coefficients_at(xi)
         return [
             sum(t * blk for t, blk in zip(thetas, blocks))
@@ -77,13 +118,9 @@ class InverseInterpolant:
         """Fitted interpolation weights at xi (empty array when m = 0)."""
         if self.m == 0:
             return np.zeros(0)
-        images = self._sketched_images_at(xi)
-        G = np.empty((self.m, self.m))
-        h = np.empty(self.m)
-        for i, Mi in enumerate(images):
-            h[i] = np.vdot(Mi, self.omega)
-            for j in range(i, self.m):
-                G[i, j] = G[j, i] = np.vdot(Mi, images[j])
+        thetas = self.model.A.coefficients_at(xi)
+        G = self.gram @ thetas @ thetas
+        h = self.h @ thetas
         if not self.positivity:
             try:
                 return la.cho_solve(la.cho_factor(G), h)
@@ -170,15 +207,50 @@ class InverseInterpolant:
             "seed": self.seed,
             "positivity": self.positivity,
             "points": [p.tolist() for p in self.points],
+            "gram": self.gram.tolist(),
+            "h": self.h.tolist(),
         }
 
     @classmethod
     def from_dict(cls, model, d):
-        """Rebuild from metadata, re-factorizing at the stored points."""
+        """Rebuild from :meth:`to_dict` output without any sketch solve.
+
+        The stored points are factorized again (``apply`` needs them); the
+        fit reads the stored tensors.  Raises GoromError on a record that
+        lacks a field, has shapes that do not fit its points and the
+        model's operator terms, or holds non-finite numbers.
+        """
+        missing = [key for key in ("sketch_size", "seed", "positivity", "points",
+                                   "gram", "h") if key not in d]
+        if missing:
+            raise GoromError(f"interpolant record lacks {', '.join(missing)} "
+                             "(older format); re-run gorom offline")
+        m, q = len(d["points"]), len(model.A.terms)
+        points = _checked_array(d, "points", (m, model.d))
+        gram = _checked_array(d, "gram", (m, m, q, q))
+        h = _checked_array(d, "h", (m, q))
         P = cls(model, d["sketch_size"], d["seed"], d["positivity"])
-        for p in d["points"]:
-            P.add_point(np.asarray(p, dtype=float))
+        P.points = list(points)
+        P.factorizations = [model.factorize_operator(xi) for xi in points]
+        P.gram, P.h = gram, h
+        P._stacks = None
         return P
+
+
+def _checked_array(d, key, shape):
+    try:
+        a = np.array(d[key], dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is not None and a.size == 0 and 0 in shape:
+        a = a.reshape(shape)
+    if a is None or a.shape != shape:
+        raise GoromError(f"interpolant record: {key} does not have shape {shape}; "
+                         "re-run gorom offline")
+    if not np.all(np.isfinite(a)):
+        raise GoromError(f"interpolant record: {key} holds non-finite entries; "
+                         "re-run gorom offline")
+    return a
 
 
 def _term_images(model, omega):

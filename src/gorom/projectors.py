@@ -424,8 +424,9 @@ _GROUPS = {
     # primal route, test space W(xi) = sum_i lambda_i(xi) Y_i
     "Ys": lambda c, g: [f.solve(c.model.gram_v0 @ c.Vc, transpose=True)
                         for f in c.precond.factorizations],
-    "YAV": lambda c, g: [[Y.T @ FA for FA in g("FA_V")] for Y in g("Ys")],
-    "Yb": lambda c, g: [[Y.T @ Fb for Fb in g("Fb")] for Y in g("Ys")],
+    "YAV": lambda c, g: np.array([[Y.T @ FA for FA in g("FA_V")] for Y in g("Ys")]),
+    "Yb": lambda c, g: np.array([[(Y.T @ Fb).ravel() for Fb in g("Fb")]
+                                 for Y in g("Ys")]),
     # primal residual in the R_V0 dual norm
     "RAA": lambda c, g: _pairs(c, g("FA_V"), c._ca, g("FA_V"), c._ca),
     "Rbb": lambda c, g: _pairs(c, g("Fb"), c._cb, g("Fb"), c._cb, z_b=g("zb")),
@@ -548,16 +549,8 @@ class ReducedCache:
         lam = self.precond.coefficients(xi)
         ta = np.array([c(xi) for c in self._ca])
         tb = np.array([c(xi) for c in self._cb])
-        YAV, Yb = self._get("YAV"), self._get("Yb")
-        M = np.zeros((self.r, self.r))
-        rhs = np.zeros(self.r)
-        for i, li in enumerate(lam):
-            if li == 0.0:
-                continue
-            for k, t in enumerate(ta):
-                M += (li * t) * YAV[i][k]
-            for j, t in enumerate(tb):
-                rhs += (li * t) * Yb[i][j].ravel()
+        M = np.tensordot(np.outer(lam, ta), self._get("YAV"), axes=2)
+        rhs = np.tensordot(np.outer(lam, tb), self._get("Yb"), axes=2)
         return M, rhs
 
     def solve_primal(self, xi):

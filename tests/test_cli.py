@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -190,6 +191,44 @@ def test_cli_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.strip().count("\n") == 0  # single-line diagnostic
     assert "model.json" in err
+
+
+def test_eval_refuses_spaces_of_another_bundle(workspace, tmp_path, capsys):
+    ws = workspace
+    assert run("generate", "--kind", "diffusion", "--n", "64", "--d", "2",
+               "--l", "5", "--seed", "8", "--out", tmp_path / "other") == 0
+    capsys.readouterr()
+    assert run("eval", "--bundle", tmp_path / "other", "--spaces", ws / "spaces",
+               "--method", "primal", "--xi-file", ws / "truth.csv",
+               "--out", tmp_path / "est.csv") == 1
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0  # single-line diagnostic
+    assert "another bundle" in err
+    assert not (tmp_path / "est.csv").exists()
+
+
+def test_regenerated_bundle_still_matches_its_spaces(workspace, tmp_path):
+    # the bundle hash leaves out the bundle's own (time-stamped) manifest
+    ws = workspace
+    assert run("generate", "--kind", "diffusion", "--n", "64", "--d", "2",
+               "--l", "5", "--seed", "7", "--out", tmp_path / "again") == 0
+    assert run("eval", "--bundle", tmp_path / "again", "--spaces", ws / "spaces",
+               "--method", "primal", "--xi-file", ws / "truth.csv",
+               "--out", tmp_path / "est.csv") == 0
+
+
+def test_eval_refuses_interpolant_without_tensors(workspace, tmp_path, capsys):
+    ws = workspace
+    spaces = tmp_path / "spaces"
+    shutil.copytree(ws / "spaces", spaces)
+    (spaces / "precond.json").write_text(json.dumps(
+        {"sketch_size": 20, "seed": 13, "positivity": True, "points": []}))
+    assert run("eval", "--bundle", ws / "bundle", "--spaces", spaces,
+               "--method", "primal", "--xi-file", ws / "truth.csv",
+               "--out", tmp_path / "est.csv") == 1
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0
+    assert "re-run gorom offline" in err
 
 
 def test_offline_abort_persists_partial_trace(workspace, tmp_path, capsys):

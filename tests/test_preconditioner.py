@@ -1,8 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg as la
+from scipy.optimize import nnls
 
-from gorom import InverseInterpolant, ProblemConfig, make_advection_diffusion_problem
+from gorom import (
+    Factorization,
+    GoromError,
+    InverseInterpolant,
+    ProblemConfig,
+    make_advection_diffusion_problem,
+)
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +179,99 @@ def test_residual_objective_m0_convention(model):
     expected = np.linalg.norm(
         model.riesz_v0(A @ P.omega) - P.omega)
     assert P.residual_objective(xi) == pytest.approx(expected, rel=1e-12)
+
+
+def _direct_coefficients(P, xi):
+    """The fit from the sketched images themselves: G_ij = <M_i, M_j>."""
+    images = P._sketched_images_at(xi)
+    G = np.array([[np.vdot(Mi, Mj) for Mj in images] for Mi in images])
+    h = np.array([np.vdot(Mi, P.omega) for Mi in images])
+    if not P.positivity:
+        return la.cho_solve(la.cho_factor(G), h)
+    R = la.cholesky(G)
+    return nnls(R, la.solve_triangular(R, h, trans="T"))[0]
+
+
+def _interpolant(model, m, positivity=True, seed=18):
+    P = InverseInterpolant(model, sketch_size=35, seed=seed, positivity=positivity)
+    for pt in model.domain.sample(m, np.random.default_rng(100 + m)):
+        P.add_point(pt)
+    return P
+
+
+@pytest.mark.parametrize("positivity", [True, False])
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_tensor_coefficients_match_direct_fit(model, m, positivity):
+    P = _interpolant(model, m, positivity)
+    assert P.gram.shape == (m, m, len(model.A.terms), len(model.A.terms))
+    for xi in model.domain.sample(10, np.random.default_rng(16)):
+        expected = _direct_coefficients(P, xi)
+        np.testing.assert_allclose(P.coefficients(xi), expected, rtol=1e-10,
+                                   atol=1e-10 * np.abs(expected).max())
+
+
+def _round_trip(model, P):
+    return InverseInterpolant.from_dict(model, json.loads(json.dumps(P.to_dict())))
+
+
+@pytest.mark.parametrize("m", [0, 3])
+def test_round_trip_fits_without_sketch_solves(model, monkeypatch, m):
+    P = _interpolant(model, m)
+    calls = []
+    original = Factorization.solve
+
+    def counting(self, B, transpose=False):
+        calls.append(np.shape(B))
+        return original(self, B, transpose)
+
+    monkeypatch.setattr(Factorization, "solve", counting)
+    Q = _round_trip(model, P)
+    assert calls == []
+    assert Q.m == m and np.array_equal(Q.gram, P.gram) and np.array_equal(Q.h, P.h)
+    for xi in model.domain.sample(10, np.random.default_rng(17)):
+        np.testing.assert_array_equal(Q.coefficients(xi), P.coefficients(xi))
+    assert calls == []
+
+
+def test_loaded_objective_and_growth_match_original(model):
+    P = _interpolant(model, 3)
+    Q = _round_trip(model, P)
+    for xi in model.domain.sample(4, np.random.default_rng(19)):
+        assert Q.sketched_objective(xi) == pytest.approx(P.sketched_objective(xi),
+                                                         rel=1e-14)
+    for pt in P.points:
+        assert Q.sketched_objective(pt) <= 1e-8 * np.linalg.norm(Q.omega)
+    # a loaded interpolant grows like the one it was saved from
+    extra = model.domain.sample(1, np.random.default_rng(20))[0]
+    assert P.add_point(extra) and Q.add_point(extra)
+    np.testing.assert_allclose(Q.gram, P.gram, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(Q.h, P.h, rtol=1e-13, atol=0.0)
+
+
+def test_memory_bytes_counts_tensors_before_blocks(model):
+    P = _interpolant(model, 2)
+    Q = _round_trip(model, P)
+    unbuilt = Q.memory_bytes
+    assert Q._stacks is None
+    assert unbuilt == (Q.omega.nbytes + Q.gram.nbytes + Q.h.nbytes
+                       + sum(f.nbytes for f in Q.factorizations))
+    Q.sketched_objective(Q.points[0])
+    assert Q.memory_bytes == P.memory_bytes
+    assert Q.memory_bytes - unbuilt == sum(b.nbytes for b in Q._blocks)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: (d.pop("gram"), d.pop("h")), "lacks gram, h"),
+    (lambda d: d["gram"].pop(), "gram does not have shape"),
+    (lambda d: d["h"][0].append(0.0), "h does not have shape"),
+    (lambda d: d["points"][1].pop(), "points does not have shape"),
+    (lambda d: d["h"][1].__setitem__(0, float("nan")), "h holds non-finite"),
+    (lambda d: d["gram"][0][1][0].__setitem__(0, float("inf")),
+     "gram holds non-finite"),
+])
+def test_from_dict_refuses_bad_records(model, edit, message):
+    d = json.loads(json.dumps(_interpolant(model, 2).to_dict()))
+    edit(d)
+    with pytest.raises(GoromError, match=message) as exc:
+        InverseInterpolant.from_dict(model, json.loads(json.dumps(d)))
+    assert "re-run gorom offline" in str(exc.value)
