@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from ._linalg import as_columns, clip_unit, eig_extreme
+from ._linalg import COND_LIMIT, as_columns, clip_unit, eig_extreme
 from .exceptions import DegenerateTestSpaceError
 
 __all__ = ["ConstantsReport", "delta_VW", "delta_L", "infsup_alpha",
@@ -45,12 +45,22 @@ class ConstantsReport:
 
 
 def _spd_chol(M, what):
+    """Cholesky factor of the symmetric part of M, refused when M is
+    singular or numerically singular (1-norm condition estimate from LAPACK
+    ``pocon`` above ``COND_LIMIT``)."""
+    H = 0.5 * (M + M.T)
     try:
-        return la.cho_factor(0.5 * (M + M.T), check_finite=False)
+        cho = la.cho_factor(H, check_finite=False)
     except la.LinAlgError as exc:
-        raise DegenerateTestSpaceError(
-            f"{what}: test space degenerate under the adjoint operator ({exc})"
-        ) from exc
+        reason = str(exc)
+    else:
+        pocon = la.get_lapack_funcs("pocon", (cho[0],))
+        rcond, info = pocon(cho[0], np.linalg.norm(H, 1), uplo="L" if cho[1] else "U")
+        if info == 0 and rcond * COND_LIMIT > 1.0:
+            return cho
+        reason = f"condition estimate {1.0 / max(rcond, np.finfo(float).tiny):.2e}"
+    raise DegenerateTestSpaceError(
+        f"{what}: test space degenerate under the adjoint operator ({reason})")
 
 
 def _delta_alpha(model, xi, V, S, gram):

@@ -9,11 +9,9 @@ for ``spd`` models the parameter-dependent state norm is the energy norm
 induced by A(xi); for ``general`` models it is the fixed R_V0 norm.
 """
 
-import warnings
-
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .affine import AffineForm, assemble
 from .exceptions import FactorizationError
@@ -25,45 +23,61 @@ def _dense(M):
     return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
 
 
-class Factorization:
-    """Dense factorization of a square matrix with direct/adjoint solves.
+def _fro_norm(M):
+    return spla.norm(M) if sp.issparse(M) else np.linalg.norm(M)
 
-    Wraps either a Cholesky factor (symmetric positive definite input) or a
-    partial-pivoting LU.  Desk-scale by design: matrices are densified.
+
+class Factorization:
+    """Sparse LU factorization (SuperLU) of a square matrix with
+    direct/adjoint solves.
+
+    ``spd`` input is factorized with a symmetric fill-reducing ordering and
+    diagonal pivots only, and refused unless the row and column orders agree
+    and every pivot is positive: then P M P^T = L D L^T with D > 0, which by
+    Sylvester's law of inertia holds iff M is positive definite.  General
+    input uses partial pivoting.  Dense input is converted to CSC; no n x n
+    dense array is formed.  Solves are read-only and safe to share between
+    threads.
     """
 
     def __init__(self, M, spd=False):
-        A = _dense(M)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        A = sp.csc_matrix(M, dtype=float)
+        if A.shape[0] != A.shape[1]:
             raise ValueError("factorization needs a square matrix")
         self.n = A.shape[0]
         self.spd = bool(spd)
         try:
             if spd:
-                self._cho = la.cho_factor(A, check_finite=False)
+                self._lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A",
+                                     diag_pivot_thresh=0.0,
+                                     options=dict(SymmetricMode=True))
             else:
-                with warnings.catch_warnings():
-                    # exact-zero pivots are caught below by the pivot check
-                    warnings.simplefilter("ignore", la.LinAlgWarning)
-                    self._lu = la.lu_factor(A, check_finite=False)
-                pivots = np.abs(np.diag(self._lu[0]))
-                pmax = pivots.max() if pivots.size else 0.0
-                if pmax == 0.0 or pivots.min() <= 1e-12 * pmax:
-                    raise FactorizationError("LU pivot below threshold")
-        except la.LinAlgError as exc:
+                self._lu = spla.splu(A)
+        except RuntimeError as exc:  # exactly singular
             raise FactorizationError(str(exc)) from exc
+        pivots = self._lu.U.diagonal()
+        if spd and (not np.array_equal(self._lu.perm_r, self._lu.perm_c)
+                    or not np.all(pivots > 0.0)):
+            raise FactorizationError("matrix is not symmetric positive definite")
+        pivots = np.abs(pivots)
+        pmax = pivots.max() if pivots.size else 0.0
+        if not np.isfinite(pmax) or pmax == 0.0 or pivots.min() <= 1e-12 * pmax:
+            raise FactorizationError("LU pivot below threshold")
 
     def solve(self, B, transpose=False):
         """Solve M x = B, or M^T x = B when ``transpose``."""
-        B = np.asarray(B, dtype=float)
-        if self.spd:
-            return la.cho_solve(self._cho, B, check_finite=False)
-        return la.lu_solve(self._lu, B, trans=1 if transpose else 0, check_finite=False)
+        return self._lu.solve(np.asarray(B, dtype=float),
+                              trans="T" if transpose else "N")
 
     @property
     def nbytes(self):
-        f = self._cho[0] if self.spd else self._lu[0]
-        return f.nbytes
+        """Storage of the L and U factors (values and sparse indices).
+
+        SuperLU sizes its own arrays from a fill estimate before it
+        factorizes, so the memory it holds is several times larger.
+        """
+        return sum(F.data.nbytes + F.indices.nbytes + F.indptr.nbytes
+                   for F in (self._lu.L, self._lu.U))
 
 
 def factorize(M, spd=False):
@@ -74,7 +88,7 @@ def factorize(M, spd=False):
 def dual_norm_sq(r, gram):
     """Squared dual norm ``r^T G^{-1} r`` of a dual vector w.r.t. an SPD Gram.
 
-    ``gram`` may be a matrix (factorized here via Cholesky) or an existing
+    ``gram`` may be a matrix (factorized here) or an existing
     SPD :class:`Factorization`.  The result is clamped at zero to absorb
     roundoff; it vanishes iff ``r`` does.
     """
@@ -155,22 +169,20 @@ class FullOrderModel:
         return self.domain.dim
 
     def _validate(self):
-        # SPD checks by attempted Cholesky
+        # SPD checks by attempted factorization; the factors are kept
         try:
-            factorize(self.gram_v0, spd=True)
+            self._v0_factor = factorize(self.gram_v0, spd=True)
         except FactorizationError as exc:
             raise FactorizationError(f"gram_v0 is not SPD: {exc}") from exc
         try:
-            factorize(self.gram_z, spd=True)
+            self._z_factor = factorize(self.gram_z, spd=True)
         except FactorizationError as exc:
             raise FactorizationError(f"gram_z is not SPD: {exc}") from exc
         if self.symmetry == "spd":
             rng = np.random.default_rng(0)
             for xi in self.domain.sample(5, rng):
                 M = self.operator_at(xi)
-                asym = (M - M.T)
-                num = la.norm(asym.toarray() if sp.issparse(asym) else asym)
-                den = la.norm(M.toarray() if sp.issparse(M) else M)
+                num, den = _fro_norm(M - M.T), _fro_norm(M)
                 if num > 1e-12 * den:
                     raise ValueError(
                         "model flagged spd but A(xi) is not symmetric "
@@ -212,8 +224,7 @@ class FullOrderModel:
         if self._v0_ref_deviation is None:
             Aref = self.A(self.xi_ref)
             diff = Aref - self.gram_v0
-            num = sp.linalg.norm(diff) if sp.issparse(diff) else np.linalg.norm(diff)
-            den = sp.linalg.norm(Aref) if sp.issparse(Aref) else np.linalg.norm(Aref)
+            num, den = _fro_norm(diff), _fro_norm(Aref)
             self._v0_ref_deviation = float(num / max(den, np.finfo(float).tiny))
         return self._v0_ref_deviation
 

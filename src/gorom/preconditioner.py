@@ -16,14 +16,17 @@ normal equations are affine in theta (Zahm & Nouy 2016):
 ``add_point`` extends the parameter-independent tensors ``gram`` and ``h``
 once per point, so a coefficient fit costs O(m^2 Q^2) plus one m x m solve
 and never touches an n-sized array.  Only the sketched objective and
-``add_point`` read the blocks themselves; an interpolant loaded with
-:meth:`from_dict` solves them again from its factorizations on that first
-read.
+``add_point`` read the blocks themselves.  An interpolant loaded with
+:meth:`from_dict` factorizes its points on the first read of
+``factorizations`` (``apply``, ``apply_adjoint``, the test-space images) and
+solves the blocks again on their first read.
 
 With no points, P_0 = R_V0^{-1} by convention, which turns the derived
 test space back into the trial space (standard Galerkin) and the
 preconditioned residual norm into the plain R_V0 dual norm.
 """
+
+import threading
 
 import numpy as np
 import scipy.linalg as la
@@ -45,7 +48,9 @@ class InverseInterpolant:
         rng = np.random.default_rng(self.seed)
         self.omega = rng.standard_normal((model.n, self.s))
         self.points = []
-        self.factorizations = []
+        # one factorization per point; None until first read after from_dict
+        self._factorizations = []
+        self._lock = threading.Lock()
         q = len(model.A.terms)
         # gram[i, j, k, k'] = <B_ik, B_jk'> and h[i, k] = <B_ik, Omega>
         self.gram = np.zeros((0, 0, q, q))
@@ -61,8 +66,20 @@ class InverseInterpolant:
         return len(self.points)
 
     @property
+    def factorizations(self):
+        """The factorizations of A at the stored points, made on first read
+        after :meth:`from_dict`."""
+        if self._factorizations is None:
+            with self._lock:
+                if self._factorizations is None:
+                    self._factorizations = [self.model.factorize_operator(xi)
+                                            for xi in self.points]
+        return self._factorizations
+
+    @property
     def memory_bytes(self):
-        """Rough footprint of factorizations, tensors and built sketch blocks."""
+        """Rough footprint of factorizations, tensors and built sketch blocks
+        (factorizes the stored points if that has not happened yet)."""
         total = self.omega.nbytes + self.gram.nbytes + self.h.nbytes
         total += sum(f.nbytes for f in self.factorizations)
         total += sum(b.nbytes for b in self._stacks or ())
@@ -213,12 +230,13 @@ class InverseInterpolant:
 
     @classmethod
     def from_dict(cls, model, d):
-        """Rebuild from :meth:`to_dict` output without any sketch solve.
+        """Rebuild from :meth:`to_dict` output without any factorization or
+        sketch solve.
 
-        The stored points are factorized again (``apply`` needs them); the
-        fit reads the stored tensors.  Raises GoromError on a record that
-        lacks a field, has shapes that do not fit its points and the
-        model's operator terms, or holds non-finite numbers.
+        The fit reads the stored tensors; the stored points are factorized
+        again on the first read of ``factorizations``.  Raises GoromError on
+        a record that lacks a field, has shapes that do not fit its points
+        and the model's operator terms, or holds non-finite numbers.
         """
         missing = [key for key in ("sketch_size", "seed", "positivity", "points",
                                    "gram", "h") if key not in d]
@@ -231,8 +249,8 @@ class InverseInterpolant:
         h = _checked_array(d, "h", (m, q))
         P = cls(model, d["sketch_size"], d["seed"], d["positivity"])
         P.points = list(points)
-        P.factorizations = [model.factorize_operator(xi) for xi in points]
         P.gram, P.h = gram, h
+        P._factorizations = None
         P._stacks = None
         return P
 

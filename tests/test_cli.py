@@ -122,6 +122,38 @@ def test_eval_spd_makes_no_riesz_solves(workspace, tmp_path, monkeypatch, method
     assert calls == []
 
 
+def test_eval_dual_on_precond_spaces_factorizes_nothing(tmp_path, monkeypatch):
+    # the dual route never applies the interpolant, so loading it must not
+    # factorize its points; the primal route does, once per point
+    from gorom import FullOrderModel
+    assert run("generate", "--kind", "advection-diffusion", "--n", "49", "--d", "3",
+               "--l", "2", "--seed", "5", "--out", tmp_path / "bundle") == 0
+    cfg = {"max_iter": 3, "enrichment": "partial", "schedule": "simultaneous",
+           "method": "saddle", "train_count": 15, "train_seed": 4}
+    (tmp_path / "greedy.json").write_text(json.dumps(cfg))
+    assert run("offline", "--bundle", tmp_path / "bundle", "--config",
+               tmp_path / "greedy.json", "--precond", "--precond-sketch", "30",
+               "--out", tmp_path / "spaces") == 0
+    assert run("truth", "--bundle", tmp_path / "bundle", "--sample-count", "4",
+               "--sample-seed", "2", "--out", tmp_path / "truth.csv") == 0
+    m = len(json.loads((tmp_path / "spaces" / "precond.json").read_text())["points"])
+    assert m > 0
+    calls = []
+    original = FullOrderModel.factorize_operator
+
+    def counting(self, xi):
+        calls.append(tuple(xi))
+        return original(self, xi)
+
+    monkeypatch.setattr(FullOrderModel, "factorize_operator", counting)
+    for method, expected in (("dual", 0), ("primal", m)):
+        calls.clear()
+        assert run("eval", "--bundle", tmp_path / "bundle", "--spaces",
+                   tmp_path / "spaces", "--method", method, "--xi-file",
+                   tmp_path / "truth.csv", "--out", tmp_path / f"{method}.csv") == 0
+        assert len(calls) == expected, method
+
+
 def test_constants_and_compare(workspace):
     ws = workspace
     assert run("constants", "--bundle", ws / "bundle", "--spaces", ws / "spaces",

@@ -64,6 +64,63 @@ def test_factorization_transpose_solve():
     np.testing.assert_allclose(A.T @ f.solve(b, transpose=True), b, atol=1e-10)
 
 
+def test_spd_factorization_refuses_indefinite_positive_diagonal():
+    # symmetric, positive diagonal, eigenvalues 3 and -1 in the 2x2 block
+    M = sp.identity(6, format="lil")
+    M[2:4, 2:4] = [[1.0, 2.0], [2.0, 1.0]]
+    with pytest.raises(FactorizationError):
+        factorize(M.tocsr(), spd=True)
+    factorize(M.tocsr())  # invertible, so the general LU accepts it
+
+
+def test_sparse_transpose_solve_nonsymmetric():
+    rng = np.random.default_rng(7)
+    n = 40
+    A = (sp.random(n, n, density=0.1, random_state=8) + 4 * sp.eye(n)).tolil()
+    A[0, n - 1] = 3.0  # make sure A != A^T
+    A = A.tocsr()
+    assert abs(A - A.T).max() > 0.0
+    f = factorize(A)
+    B = rng.standard_normal((n, 3))
+    np.testing.assert_allclose(A @ f.solve(B), B, atol=1e-12)
+    np.testing.assert_allclose(A.T @ f.solve(B, transpose=True), B, atol=1e-12)
+    assert np.abs(A @ f.solve(B, transpose=True) - B).max() > 1e-6
+
+
+def test_factor_storage_is_sparse_at_n2500():
+    from gorom import ProblemConfig, make_diffusion_problem
+    model = make_diffusion_problem(ProblemConfig(n=2500, d=2, l=1, seed=3))
+    n = model.n
+    f = model.factorize_operator(model.xi_ref)
+    assert n == 2500 and 0 < f.nbytes < 0.05 * 8 * n * n
+
+
+@pytest.mark.parametrize("spd", [True, False])
+def test_shared_factorization_threads_match_serial(spd):
+    # --threads N shares one R_V0 factor between pool workers
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(30, 30))
+    A = sp.kron(T, sp.eye(30)) + sp.kron(sp.eye(30), T)
+    if not spd:
+        A = A + sp.diags([0.5], [1], shape=A.shape)
+    f = factorize(A, spd=spd)
+    rng = np.random.default_rng(9)
+    rhs = [rng.standard_normal((900, 5)) for _ in range(32)]
+    serial = [f.solve(B, transpose=bool(i % 2)) for i, B in enumerate(rhs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(f.solve, B, bool(i % 2))
+                       for i, B in enumerate(rhs)]
+            shared = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, shared):
+        assert np.array_equal(a, b)
+
+
 def _tiny_model(symmetry="spd", asym=0.0):
     n, d = 6, 2
     rng = np.random.default_rng(4)
@@ -81,6 +138,25 @@ def test_model_rejects_asymmetric_spd_flag():
     with pytest.raises(ValueError):
         _tiny_model(symmetry="spd", asym=1.0)
     _tiny_model(symmetry="general", asym=1.0)
+
+
+def test_validation_factors_are_kept(monkeypatch):
+    import gorom.model
+    made = []
+    original = gorom.model.factorize
+
+    def counting(M, spd=False):
+        made.append(M.shape)
+        return original(M, spd=spd)
+
+    monkeypatch.setattr(gorom.model, "factorize", counting)
+    model = _tiny_model()
+    assert made == [(6, 6), (2, 2)]  # R_V0 and R_Z, checked once each
+    model.riesz_v0(np.ones(6))
+    model.v0_dual_norm(np.ones(6))
+    model.z_dual_norm(np.ones(2))
+    assert model.v0_factor is model.v0_factor
+    assert made == [(6, 6), (2, 2)]
 
 
 def test_model_rejects_non_spd_gram():

@@ -275,3 +275,41 @@ def test_from_dict_refuses_bad_records(model, edit, message):
     with pytest.raises(GoromError, match=message) as exc:
         InverseInterpolant.from_dict(model, json.loads(json.dumps(d)))
     assert "re-run gorom offline" in str(exc.value)
+
+
+def test_loaded_interpolant_factorizes_once_under_concurrent_first_use(model, monkeypatch):
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+    from gorom import FullOrderModel
+    P = _interpolant(model, 5)
+    X = np.random.default_rng(21).standard_normal((model.n, 2))
+    xi = model.domain.sample(1, np.random.default_rng(22))[0]
+    expected = P.apply(xi, X)
+    calls = []
+    original = FullOrderModel.factorize_operator
+
+    def counting(self, pt):
+        calls.append(tuple(pt))
+        return original(self, pt)
+
+    monkeypatch.setattr(FullOrderModel, "factorize_operator", counting)
+    Q = _round_trip(model, P)
+    assert calls == []  # loading factorizes nothing
+    start = threading.Barrier(8)
+
+    def first_use():
+        start.wait(timeout=60)
+        return Q.apply(xi, X)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(first_use) for _ in range(8)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == sorted(tuple(p) for p in P.points)  # once per point
+    for got in results:
+        np.testing.assert_array_equal(got, expected)
