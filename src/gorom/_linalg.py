@@ -2,10 +2,16 @@
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from .exceptions import ReducedSolveError
 
 COND_LIMIT = 1e14
+
+
+def dense(M):
+    """A sparse or dense matrix as a float ndarray."""
+    return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
 
 
 def as_columns(X):

@@ -62,7 +62,7 @@ class ParameterDomain:
         if xi.shape != (self.dim,):
             return False
         slack = rtol * (self.hi - self.lo)
-        return bool(np.all(xi >= self.lo - slack) and np.all(xi <= self.hi + slack))
+        return bool(((xi >= self.lo - slack) & (xi <= self.hi + slack)).all())
 
     def require(self, xi):
         """Raise :class:`DomainError` if ``xi`` is outside the box."""

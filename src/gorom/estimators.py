@@ -90,13 +90,14 @@ def _dual_sup(model, matrix):
     return float(np.sqrt(max(float(lam), 0.0)))
 
 
+_NO_ALPHA = ("alpha is unavailable; use estimate_preconditioned for the "
+             "surrogate without the 1/alpha factor")
+
+
 def estimate_primal_dual(model, xi, cache, sol, alpha):
     """Certified estimate: primal residual x dual operator norm / alpha."""
     if alpha is None:
-        raise UnsupportedModelError(
-            "alpha is unavailable; use estimate_preconditioned for the "
-            "surrogate without the 1/alpha factor"
-        )
+        raise UnsupportedModelError(_NO_ALPHA)
     pf = cache.primal_residual_norm(xi, sol.primal_coeffs)
     df = _dual_sup(model, cache.pd_dual_matrix(xi))
     return EstimateRecord(
@@ -109,10 +110,7 @@ def estimate_primal_dual(model, xi, cache, sol, alpha):
 def estimate_saddle(model, xi, cache, sol, alpha):
     """Certified saddle estimate with minimized primal and dual factors."""
     if alpha is None:
-        raise UnsupportedModelError(
-            "alpha is unavailable; use estimate_preconditioned for the "
-            "surrogate without the 1/alpha factor"
-        )
+        raise UnsupportedModelError(_NO_ALPHA)
     if model.symmetry == "spd":
         pf = cache.min_residual_over_T(xi)
         df = _dual_sup(model, cache.dual_schur(xi, "T"))

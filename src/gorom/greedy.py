@@ -39,8 +39,8 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
+from ._linalg import dense
 from .estimators import (
     alpha_min_theta,
     estimate_preconditioned,
@@ -188,7 +188,6 @@ def _training_set(model, cfg):
 
 
 def _estimate_at(model, cache, cfg, precond, xi):
-    model.domain.require(xi)
     certified = model.symmetry == "spd" and model.coercive_affine
     if cfg.method == "primal-dual":
         sol = cache.solve_primal_dual(xi)
@@ -252,8 +251,7 @@ def run_greedy(model, cfg, threads=None):
                 acc_p, rej_p = int(ok), int(not ok)
                 kinds.append("primal")
             if do_dual:
-                Ld = model.output_at(xi_star)
-                Lt = (Ld.toarray() if sp.issparse(Ld) else np.asarray(Ld)).T
+                Lt = dense(model.output_at(xi_star)).T
                 if cfg.enrichment == "full":
                     Q = fact.solve(Lt, transpose=True)
                     acc_d = WQ.extend(Q)

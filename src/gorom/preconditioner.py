@@ -133,9 +133,13 @@ class InverseInterpolant:
 
     def coefficients(self, xi):
         """Fitted interpolation weights at xi (empty array when m = 0)."""
+        return self.fit(self.model.A.coefficients_at(xi))
+
+    def fit(self, thetas):
+        """Interpolation weights at a point whose operator coefficients
+        theta_k are ``thetas`` (empty array when m = 0)."""
         if self.m == 0:
             return np.zeros(0)
-        thetas = self.model.A.coefficients_at(xi)
         G = self.gram @ thetas @ thetas
         h = self.h @ thetas
         if not self.positivity:

@@ -21,10 +21,11 @@ blocks on first read:
 * :class:`DirectBlocks` assembles them from the full-order operator at the
   point (never factorizing it).  The direct functions above use it, and it
   is the oracle the cache is tested against.
-* :class:`ReducedCache` precomputes parameter-independent blocks per affine
-  term (and per term pair through R_V0^{-1}), so that for fixed spaces
-  online assembly is polynomial in the reduced dimensions.  Each block is
-  built on its first use, so a route builds only the blocks it reads.
+* :class:`ReducedCache` stacks each block over the affine terms it depends
+  on and contracts the stack with the coefficients theta(xi), evaluated once
+  per point, so that online assembly is polynomial in the reduced dimensions.
+  Each block is built on its first use, so a route builds only the blocks it
+  reads, and on spd models a transposed block is the direct one.
 """
 
 import threading
@@ -33,9 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 
-from ._linalg import as_columns, clip_nonneg, solve_checked, solve_spd_min
+from ._linalg import as_columns, clip_nonneg, dense, solve_checked, solve_spd_min
 from .exceptions import ReducedSolveError
 from .problems import truth_solve
 from .spaces import union_basis
@@ -93,7 +93,10 @@ class _Blocks:
       ``RAb`` = (A V)^T R^{-1} b, ``RTT`` and ``RTb`` likewise over T.
 
     Subclasses also set ``spd``, ``l`` and the dimensions ``r``, ``k``, ``p``
-    of V, WQ and T.
+    of V, WQ and T.  A :class:`ReducedCache` stores each block stacked over
+    the terms of the forms it depends on: ``WAV`` as (Q_A, r, r), ``KT`` as
+    (Q_A, Q_A, p, p) and, under an interpolant, ``WAV`` as (m, Q_A, r, r) over
+    points and terms.  On spd models A_k^T = A_k, so ``KT`` is ``RTT``.
     """
 
     def __getattr__(self, name):
@@ -203,10 +206,6 @@ class _Blocks:
         return self.GLL - C.T @ qhat - qhat.T @ C + qhat.T @ (K @ qhat)
 
 
-def _dense(M):
-    return M.toarray() if sp.issparse(M) else np.asarray(M)
-
-
 class DirectBlocks(_Blocks):
     """Reduced blocks assembled from the full-order model at ``xi``.
 
@@ -217,7 +216,7 @@ class DirectBlocks(_Blocks):
     _RECIPES = {
         "A": lambda d: d.model.operator_at(d.xi),
         "b": lambda d: d.model.rhs_at(d.xi),
-        "Ld": lambda d: _dense(d.model.output_at(d.xi)),
+        "Ld": lambda d: dense(d.model.output_at(d.xi)),
         "zL": lambda d: d.model.riesz_v0(d.Ld.T),
         "GLL": lambda d: d.Ld @ d.zL,
         "LV": lambda d: d.Ld @ d.Vc,
@@ -240,6 +239,7 @@ class DirectBlocks(_Blocks):
         "AtT": lambda d: d.A.T @ d.Tc,
         "XT": lambda d: d.model.riesz_v0(d.AtT),
         "KT": lambda d: d.AtT.T @ d.XT,
+        "CT": lambda d: d.AtT.T @ d.zL,
         "LXT": lambda d: d.Ld @ d.XT,
     }
 
@@ -341,117 +341,127 @@ def build_test_space(model, V, precond, xi):
 # parameter-independent reduced blocks
 # ---------------------------------------------------------------------------
 
-class _AffineBlocks:
-    """sum_k theta_k(xi) * B_k for one list of coefficient functions."""
+class _Affine:
+    """An affine family sum_i w_i(xi) S_i over stacked terms S.
 
-    def __init__(self, coeffs, blocks):
-        self.coeffs = coeffs
-        self.blocks = blocks
+    ``stack`` has one leading axis per name in ``names``: a stacked array, or
+    a list of full-order images for a one-name family.  The weights w are the
+    outer product of the coefficient vectors those names select at a point,
+    and the sum accumulates in term order (``acc = w_0 S_0; acc += w_i S_i``).
+    """
 
-    def at(self, xi):
-        acc = self.coeffs[0](xi) * self.blocks[0]
-        for coeff, block in zip(self.coeffs[1:], self.blocks[1:]):
-            acc = acc + coeff(xi) * block
-        return acc
+    def __init__(self, names, stack):
+        self.names, self.stack = tuple(names), stack
+        terms = list(stack)
+        for _ in self.names[1:]:
+            terms = [t for row in terms for t in row]
+        self._terms = terms
+        # the weight 1 of a fixed matrix leaves the products unchanged
+        self._weights = [name for name in self.names if name != "1"]
 
-
-class _PairBlocks:
-    """sum_{j,k} a_j(xi) b_k(xi) * B[j][k] (Riesz-paired term products)."""
-
-    def __init__(self, coeffs_a, coeffs_b, blocks):
-        self.coeffs_a = coeffs_a
-        self.coeffs_b = coeffs_b
-        self.blocks = blocks
-
-    def at(self, xi):
-        ta = np.array([c(xi) for c in self.coeffs_a])
-        tb = np.array([c(xi) for c in self.coeffs_b])
-        acc = np.zeros_like(self.blocks[0][0])
-        for j, aj in enumerate(ta):
-            for k, bk in enumerate(tb):
-                acc = acc + (aj * bk) * self.blocks[j][k]
+    def at(self, theta):
+        """The sum at one point, whose coefficient vectors are ``theta[name]``."""
+        w = theta[self._weights[0]]
+        for name in self._weights[1:]:
+            w = np.multiply.outer(w, theta[name]).ravel()
+        acc = w[0] * self._terms[0]
+        for wi, term in zip(w[1:], self._terms[1:]):
+            acc += wi * term
         return acc
 
     def transposed(self):
-        """The family of transposed blocks, B[j][k]^T at position [k][j]."""
-        return _PairBlocks(self.coeffs_b, self.coeffs_a,
-                           [[row[k].T for row in self.blocks]
-                            for k in range(len(self.coeffs_b))])
+        """The family of transposed terms, with the stacked axes reversed."""
+        q, nd = len(self.names), self.stack.ndim
+        return _Affine(self.names[::-1],
+                       self.stack.transpose(*range(q)[::-1], nd - 1, nd - 2))
 
 
-def _term_family(form, X=None, transpose=False):
-    """Dense images [term_k @ X] (or term_k^T @ X; or the terms themselves)."""
+def _fixed(X):
+    """A parameter-independent matrix as a family of one term of weight 1."""
+    return _Affine(("1",), [X])
+
+
+def _family(model, name, X=None, transpose=False):
+    """Images term_k @ X (or term_k^T @ X) of the terms of ``model.<name>``;
+    with no X, the dense transposed terms (a vector term as one column)."""
     out = []
-    for _, term in form.terms:
+    for _, term in getattr(model, name).terms:
         if X is None:
-            t = term.toarray() if sp.issparse(term) else np.asarray(term)
-            t = t.T if transpose else t
-            if t.ndim == 1:
-                t = t[:, None]
-            out.append(np.asarray(t, dtype=float))
+            term = np.atleast_2d(dense(term)).T
         else:
-            M = term.T @ X if transpose else term @ X
-            out.append(np.asarray(M, dtype=float))
-    return out
+            term = term.T @ X if transpose else term @ X
+        out.append(np.asarray(term, dtype=float))
+    return _Affine((name,), out)
 
 
-def _pairs(c, fam_a, coeffs_a, fam_b, coeffs_b, z_b=None):
-    """Blocks Fa^T R_V0^{-1} Fb for every pair of terms; ``z_b`` may hold
-    the Riesz images of ``fam_b`` already."""
-    zb = [c.model.riesz_v0(F) for F in fam_b] if z_b is None else z_b
-    return _PairBlocks(coeffs_a, coeffs_b, [[Fa.T @ Zb for Zb in zb] for Fa in fam_a])
+def _riesz(c, fam):
+    """Riesz representers R_V0^{-1} F_k of a family of dual images."""
+    return _Affine(fam.names, [c.model.riesz_v0(F) for F in fam.stack])
+
+
+def _pairs(fam_a, fam_b):
+    """Stacked blocks Fa_j^T Fb_k for every pair of terms; with ``fam_b`` a
+    family of Riesz images, these are the pairings through R_V0^{-1}."""
+    return _Affine(fam_a.names + fam_b.names,
+                   np.array([[Fa.T @ Fb for Fb in fam_b.stack] for Fa in fam_a.stack]))
 
 
 # name -> builder(cache, get); a builder reads other groups through get
 _GROUPS = {
-    # full-order term images and their Riesz representers
-    "FA_V": lambda c, g: _term_family(c.model.A, c.Vc),
-    "FA_Q": lambda c, g: _term_family(c.model.A, c.WQc),
-    "FAt_Q": lambda c, g: _term_family(c.model.A, c.WQc, transpose=True),
-    "Fb": lambda c, g: _term_family(c.model.b),
-    "FL": lambda c, g: _term_family(c.model.L, transpose=True),
-    "zb": lambda c, g: [c.model.riesz_v0(F) for F in g("Fb")],
-    "zL": lambda c, g: [c.model.riesz_v0(F) for F in g("FL")],
+    # full-order term images
+    "FA_V": lambda c, g: _family(c.model, "A", c.Vc),
+    "FA_Q": lambda c, g: _family(c.model, "A", c.WQc),
+    "FAt_Q": lambda c, g: _family(c.model, "A", c.WQc, transpose=True),
+    "Fb": lambda c, g: _family(c.model, "b"),
+    "FL": lambda c, g: _family(c.model, "L"),
     "T": lambda c, g: union_basis([c.Vc, c.WQc], gram=c.model.gram_v0,
                                   tol_rank=c.tol_rank, name="T"),
-    "FA_T": lambda c, g: _term_family(c.model.A, g("T").columns),
-    "FAt_T": lambda c, g: _term_family(c.model.A, g("T").columns, transpose=True),
-    "zAt_T": lambda c, g: [c.model.riesz_v0(F) for F in g("FAt_T")],
-    # primal route, fixed test space W = V
-    "WAV": lambda c, g: _AffineBlocks(c._ca, [c.Vc.T @ F for F in g("FA_V")]),
-    "Wb": lambda c, g: _AffineBlocks(c._cb, [c.Vc.T @ F for F in g("Fb")]),
-    "LV": lambda c, g: _AffineBlocks(c._cl, [F.T @ c.Vc for F in g("FL")]),
-    # primal route, test space W(xi) = sum_i lambda_i(xi) Y_i
-    "Ys": lambda c, g: [f.solve(c.model.gram_v0 @ c.Vc, transpose=True)
-                        for f in c.precond.factorizations],
-    "YAV": lambda c, g: np.array([[Y.T @ FA for FA in g("FA_V")] for Y in g("Ys")]),
-    "Yb": lambda c, g: np.array([[(Y.T @ Fb).ravel() for Fb in g("Fb")]
-                                 for Y in g("Ys")]),
+    "FA_T": lambda c, g: _family(c.model, "A", g("T").columns),
+    "FAt_T": lambda c, g: _family(c.model, "A", g("T").columns, transpose=True),
+    # test-space images Y_i = A(xi_i)^{-T} R_V0 V: W(xi) = sum_i lambda_i Y_i
+    "Ys": lambda c, g: _Affine(("lam",), [f.solve(c.model.gram_v0 @ c.Vc, transpose=True)
+                                          for f in c.precond.factorizations]),
+    # Riesz representers of the term images
+    "zA_V": lambda c, g: _riesz(c, g("FA_V")),
+    "zAt_Q": lambda c, g: _riesz(c, g("FAt_Q")),
+    "zb": lambda c, g: _riesz(c, g("Fb")),
+    "zL": lambda c, g: _riesz(c, g("FL")),
+    "zA_T": lambda c, g: _riesz(c, g("FA_T")),
+    "zAt_T": lambda c, g: _riesz(c, g("FAt_T")),
+    # primal route: W = V, or W(xi) under an interpolant
+    "WAV": lambda c, g: _pairs(g("Ys") if c._precond_w else _fixed(c.Vc), g("FA_V")),
+    "Wb": lambda c, g: _pairs(g("Ys") if c._precond_w else _fixed(c.Vc), g("Fb")),
+    "LV": lambda c, g: _pairs(g("FL"), _fixed(c.Vc)),
     # primal residual in the R_V0 dual norm
-    "RAA": lambda c, g: _pairs(c, g("FA_V"), c._ca, g("FA_V"), c._ca),
-    "Rbb": lambda c, g: _pairs(c, g("Fb"), c._cb, g("Fb"), c._cb, z_b=g("zb")),
-    "RAb": lambda c, g: _pairs(c, g("FA_V"), c._ca, g("Fb"), c._cb, z_b=g("zb")),
+    "RAA": lambda c, g: _pairs(g("FA_V"), g("zA_V")),
+    "Rbb": lambda c, g: _pairs(g("Fb"), g("zb")),
+    "RAb": lambda c, g: _pairs(g("FA_V"), g("zb")),
     # dual route
-    "QAV": lambda c, g: _AffineBlocks(c._ca, [c.WQc.T @ F for F in g("FA_V")]),
-    "Qb": lambda c, g: _AffineBlocks(c._cb, [c.WQc.T @ F for F in g("Fb")]),
-    "QAQ": lambda c, g: _AffineBlocks(c._ca, [c.WQc.T @ F for F in g("FA_Q")]),
-    "QL": lambda c, g: _AffineBlocks(c._cl, [c.WQc.T @ F for F in g("FL")]),
-    "LQ": lambda c, g: _AffineBlocks(c._cl, [F.T @ c.WQc for F in g("FL")]),
-    "KQ": lambda c, g: _pairs(c, g("FAt_Q"), c._ca, g("FAt_Q"), c._ca),
-    "CQ": lambda c, g: _pairs(c, g("FAt_Q"), c._ca, g("FL"), c._cl, z_b=g("zL")),
+    "QAV": lambda c, g: _pairs(_fixed(c.WQc), g("FA_V")),
+    "Qb": lambda c, g: _pairs(_fixed(c.WQc), g("Fb")),
+    "QAQ": lambda c, g: _pairs(_fixed(c.WQc), g("FA_Q")),
+    "QL": lambda c, g: _pairs(_fixed(c.WQc), g("FL")),
+    # contiguous like a product's, since BLAS results depend on the layout
+    "LQ": lambda c, g: _Affine(("L", "1"), np.ascontiguousarray(g("QL").transposed().stack)),
+    "KQ": lambda c, g: _pairs(g("FAt_Q"), g("zAt_Q")),
+    "CQ": lambda c, g: _pairs(g("FAt_Q"), g("zL")),
     "LXQ": lambda c, g: g("CQ").transposed(),
-    "GLL": lambda c, g: _pairs(c, g("FL"), c._cl, g("FL"), c._cl, z_b=g("zL")),
+    "GLL": lambda c, g: _pairs(g("FL"), g("zL")),
     # saddle route over T = V + WQ
-    "Tb": lambda c, g: _AffineBlocks(c._cb, [g("T").columns.T @ F for F in g("Fb")]),
-    "TAT": lambda c, g: _AffineBlocks(c._ca, [g("T").columns.T @ F for F in g("FA_T")]),
-    "LT": lambda c, g: _AffineBlocks(c._cl, [F.T @ g("T").columns for F in g("FL")]),
-    "TAV": lambda c, g: _AffineBlocks(c._ca, [g("T").columns.T @ F for F in g("FA_V")]),
-    "KT": lambda c, g: _pairs(c, g("FAt_T"), c._ca, g("FAt_T"), c._ca, z_b=g("zAt_T")),
-    "CT": lambda c, g: _pairs(c, g("FAt_T"), c._ca, g("FL"), c._cl, z_b=g("zL")),
+    "Tb": lambda c, g: _pairs(_fixed(g("T").columns), g("Fb")),
+    "TAT": lambda c, g: _pairs(_fixed(g("T").columns), g("FA_T")),
+    "LT": lambda c, g: _pairs(g("FL"), _fixed(g("T").columns)),
+    "TAV": lambda c, g: _pairs(_fixed(g("T").columns), g("FA_V")),
+    "KT": lambda c, g: _pairs(g("FAt_T"), g("zAt_T")),
+    "CT": lambda c, g: _pairs(g("FAt_T"), g("zL")),
     "LXT": lambda c, g: g("CT").transposed(),
-    "RTT": lambda c, g: _pairs(c, g("FA_T"), c._ca, g("FA_T"), c._ca),
-    "RTb": lambda c, g: _pairs(c, g("FA_T"), c._ca, g("Fb"), c._cb, z_b=g("zb")),
+    "RTT": lambda c, g: _pairs(g("FA_T"), g("zA_T")),
+    "RTb": lambda c, g: _pairs(g("FA_T"), g("zb")),
 }
+
+# every operator term of an spd model is symmetric (FullOrderModel checks
+# each), so A_k^T X is A_k X and each transposed group is the direct one
+_SPD_ALIASES = {"FAt_Q": "FA_Q", "FAt_T": "FA_T", "zAt_T": "zA_T", "KT": "RTT"}
 
 
 class _CachedBlocks(_Blocks):
@@ -461,19 +471,26 @@ class _CachedBlocks(_Blocks):
         self.cache, self.xi = cache, xi
         self.spd, self.l = cache._spd, cache.model.l
         self.r, self.k = cache.r, cache.k
+        self._theta = {}
+
+    def __getitem__(self, name):
+        """The coefficient vector ``name`` at this point, evaluated on first
+        read: theta of the form ``A``, ``b`` or ``L``, or the interpolation
+        weights ``lam``."""
+        if name not in self._theta:
+            self._theta[name] = (
+                self.cache.precond.fit(self["A"]) if name == "lam"
+                else getattr(self.cache.model, name).coefficients_at(self.xi))
+        return self._theta[name]
 
     @property
     def p(self):
         return self.cache.p
 
     def _block(self, name):
-        cache = self.cache
-        if cache._precond_w and name in ("WAV", "Wb"):
-            self.WAV, self.Wb = cache._precond_primal_system(self.xi)
-            return self.__dict__[name]
-        if name not in _GROUPS:
+        if name not in _GROUPS or name == "T":
             raise AttributeError(name)
-        return cache._get(name).at(self.xi)
+        return self.cache._get(name).at(self)
 
 
 class ReducedCache:
@@ -506,14 +523,13 @@ class ReducedCache:
         # a general model with interpolation points gets the test space
         # W(xi) = P_m(xi)^* R_V0 V, and its saddle route a T(xi) to match
         self._precond_w = not self._spd and precond is not None and precond.m > 0
-        self._ca = [c for c, _ in model.A.terms]
-        self._cb = [c for c, _ in model.b.terms]
-        self._cl = [c for c, _ in model.L.terms]
         self._groups = {}
         self._lock = threading.RLock()
 
     def _get(self, name):
         """The block group ``name``, built on first use."""
+        if self._spd:
+            name = _SPD_ALIASES.get(name, name)
         group = self._groups.get(name)
         if group is None:
             with self._lock:
@@ -524,7 +540,9 @@ class ReducedCache:
         return group
 
     def at(self, xi):
-        """The reduced blocks at ``xi``, each evaluated on first read."""
+        """The reduced blocks at ``xi``, each evaluated on first read; raises
+        :class:`DomainError` for a point outside the model's domain."""
+        self.model.domain.require(xi)
         return _CachedBlocks(self, xi)
 
     # -- dims ------------------------------------------------------------
@@ -542,16 +560,6 @@ class ReducedCache:
         return self._get("T").dim
 
     # -- online solves ----------------------------------------------------
-
-    def _precond_primal_system(self, xi):
-        if self.r == 0:
-            return np.zeros((0, 0)), np.zeros(0)
-        lam = self.precond.coefficients(xi)
-        ta = np.array([c(xi) for c in self._ca])
-        tb = np.array([c(xi) for c in self._cb])
-        M = np.tensordot(np.outer(lam, ta), self._get("YAV"), axes=2)
-        rhs = np.tensordot(np.outer(lam, tb), self._get("Yb"), axes=2)
-        return M, rhs
 
     def solve_primal(self, xi):
         return self.at(xi).solve_primal()
@@ -571,23 +579,17 @@ class ReducedCache:
     def _solve_saddle_dynamic(self, xi):
         # parameter-dependent T(xi) = (W_r(xi), WQ): assembled at full order,
         # using only the stored factorizations and the cached R_V0 factor
-        lam = self.precond.coefficients(xi)
-        W = (sum(li * Y for li, Y in zip(lam, self._get("Ys"))) if self.r
-             else np.zeros((self.model.n, 0)))
+        W = self.at(xi).Ys if self.r else np.zeros((self.model.n, 0))
         T = union_basis([W, self.WQc], gram=self.model.gram_v0,
                         tol_rank=self.tol_rank, name="T")
         return saddle_general_solve(self.model, xi, self.Vc, T)
 
     def solve(self, xi, method):
-        if method == "primal":
-            return self.solve_primal(xi)
-        if method == "dual":
-            return self.solve_dual_only(xi)
-        if method == "primal-dual":
-            return self.solve_primal_dual(xi)
-        if method == "saddle":
-            return self.solve_saddle(xi)
-        raise ValueError(f"unknown method {method!r}")
+        routes = {"primal": self.solve_primal, "dual": self.solve_dual_only,
+                  "primal-dual": self.solve_primal_dual, "saddle": self.solve_saddle}
+        if method not in routes:
+            raise ValueError(f"unknown method {method!r}")
+        return routes[method](xi)
 
     # -- estimator primitives ----------------------------------------------
 
@@ -597,12 +599,12 @@ class ReducedCache:
 
     def residual_vector(self, xi, U):
         """b(xi) - A(xi) V U as a full-order vector (from cached term images)."""
-        tb = np.array([c(xi) for c in self._cb])
-        r = sum(t * F.ravel() for t, F in zip(tb, self._get("Fb")))
+        blocks = self.at(xi)
+        r = blocks.Fb.ravel()
         if self.r and U is not None and U.size:
-            ta = np.array([c(xi) for c in self._ca])
-            r = r - sum(t * (F @ U) for t, F in zip(ta, self._get("FA_V")))
-        return np.asarray(r)
+            AVU = _Affine(("A",), [F @ U for F in self._get("FA_V").stack])
+            r = r - AVU.at(blocks)
+        return r
 
     def min_residual_over_T(self, xi):
         """min over t in T of || A(xi) t - b(xi) || in the R_V0 dual norm."""
@@ -614,16 +616,10 @@ class ReducedCache:
         t = T y for spd models and V u + R_V0^{-1} A(xi)^T T y otherwise,
         with T fixed or, under a preconditioner, the T(xi) ``est`` carries.
         """
-        n = self.model.n
         if self._spd:
-            return (self._get("T").columns @ est.t_coeffs if est.t_coeffs.size
-                    else np.zeros(n))
-        if est.aux:
-            t = est.aux["X"] @ est.dual_coeffs
-        else:
-            ta = np.array([c(xi) for c in self._ca])
-            X = sum(t * Z for t, Z in zip(ta, self._get("zAt_T")))
-            t = X @ est.dual_coeffs if est.dual_coeffs.size else np.zeros(n)
+            return self._get("T").columns @ est.t_coeffs
+        X = est.aux["X"] if est.aux else self.at(xi).zAt_T
+        t = X @ est.dual_coeffs
         if self.r and est.primal_coeffs is not None and est.primal_coeffs.size:
             t = t + self.Vc @ est.primal_coeffs
         return t
@@ -634,9 +630,8 @@ class ReducedCache:
 
     def dual_schur_dynamic(self, xi, est):
         """Dual Schur complement over a parameter-dependent T carried by est."""
-        tl = np.array([c(xi) for c in self._cl])
-        Lt = sum(t * F for t, F in zip(tl, self._get("FL")))
-        return _dual_schur(est.aux["K"], est.aux["X"].T @ Lt, self.at(xi).GLL)
+        blocks = self.at(xi)
+        return _dual_schur(est.aux["K"], est.aux["X"].T @ blocks.FL, blocks.GLL)
 
     def pd_dual_matrix(self, xi):
         """(L^* - A^* Q_k)-Gram in the R_V0 dual norm, as an l x l matrix."""

@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 from scipy.io import mmread, mmwrite
 
+from .exceptions import GoromError
+
 __all__ = ["Basis", "union_basis"]
 
 DEFAULT_TOL_RANK = 1e-10
@@ -113,8 +115,10 @@ class Basis:
             manifest = json.load(fh)
         basis = cls(gram, manifest["n"], manifest["tol_rank"], manifest.get("name", ""))
         cols = np.asarray(mmread(str(path)), dtype=float)
-        if cols.size:
-            basis._cols = cols.reshape(manifest["n"], manifest["dim"])
+        if cols.shape != (basis.n, manifest["dim"]) or not np.all(np.isfinite(cols)):
+            raise GoromError(f"{path} does not hold {basis.n} x {manifest['dim']} finite "
+                             "entries as its manifest says; re-run gorom offline")
+        basis._cols = cols
         return basis
 
     def __repr__(self):

@@ -285,3 +285,64 @@ def test_cli_help_covers_flags(capsys):
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--out" in out
+
+
+@pytest.mark.parametrize("row", ["1e6,1.0", "nan,1.0"])
+@pytest.mark.parametrize("command", ["eval", "estimate"])
+def test_online_commands_refuse_points_outside_the_domain(
+        workspace, tmp_path, capsys, command, row):
+    ws = workspace
+    _, rows = read_csv(ws / "truth.csv")
+    xi_file = tmp_path / "xi.csv"
+    xi_file.write_text("xi1,xi2\n" + ",".join(rows[0][:2]) + "\n" + row + "\n")
+    capsys.readouterr()
+    assert run(command, "--bundle", ws / "bundle", "--spaces", ws / "spaces",
+               "--method", "primal-dual", "--xi-file", xi_file,
+               "--out", tmp_path / "out.csv") == 1
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0  # single-line diagnostic
+    assert "outside domain" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_eval_refuses_nonfinite_basis(workspace, tmp_path, capsys):
+    ws = workspace
+    spaces = tmp_path / "spaces"
+    shutil.copytree(ws / "spaces", spaces)
+    lines = (spaces / "V.mtx").read_text().splitlines(keepends=True)
+    first = next(j for j, line in enumerate(lines) if not line.startswith("%")) + 1
+    lines[first + 2] = "nan\n"
+    (spaces / "V.mtx").write_text("".join(lines))
+    capsys.readouterr()
+    assert run("eval", "--bundle", ws / "bundle", "--spaces", spaces,
+               "--method", "primal", "--xi-file", ws / "truth.csv",
+               "--out", tmp_path / "est.csv") == 1
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0
+    assert "re-run gorom offline" in err
+
+
+def test_spd_saddle_estimate_solves_each_term_image_of_T_once(
+        workspace, tmp_path, monkeypatch):
+    # A_k^T T = A_k T on an spd model: the Riesz images behind KT (dual
+    # factor) and RTT (primal factor) are one set of R_V0 solves
+    import gorom
+    from gorom import FullOrderModel
+    ws = workspace
+    model = gorom.load_bundle(ws / "bundle")
+    V, WQ, _ = gorom.cli.load_spaces(model, ws / "spaces", ws / "bundle")
+    p = gorom.ReducedCache(model, V, WQ).p
+    columns = []
+    original = FullOrderModel.riesz_v0
+
+    def counting(self, X):
+        columns.append(np.shape(X)[1] if np.ndim(X) == 2 else 1)
+        return original(self, X)
+
+    monkeypatch.setattr(FullOrderModel, "riesz_v0", counting)
+    assert run("estimate", "--bundle", ws / "bundle", "--spaces", ws / "spaces",
+               "--method", "saddle", "--xi-file", ws / "truth.csv",
+               "--out", tmp_path / "delta.csv") == 0
+    # A's term images of T, b's terms and L's transposed terms, once each
+    expected = model.A.nterms * p + model.b.nterms + model.L.nterms * model.l
+    assert sum(columns) == expected

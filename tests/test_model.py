@@ -189,3 +189,20 @@ def test_v_gram_selection(spd_small, gen_small):
     assert abs(diff).max() == 0.0
     xi2 = gen_small.domain.sample(1, np.random.default_rng(6))[0]
     assert gen_small.v_gram_at(xi2) is gen_small.gram_v0
+
+
+def test_spd_flag_checks_each_operator_term():
+    # the asymmetric parts of the two terms cancel in A(xi) at every point,
+    # but the reduced cache reads A_k^T X as A_k X, so each term must be
+    # symmetric on its own
+    n, d = 6, 2
+    rng = np.random.default_rng(5)
+    S, N = random_spd(rng, n), np.triu(rng.standard_normal((n, n)), 1)
+    one = CoefficientFn.constant(1.0)
+    A = AffineForm([(one, sp.csr_matrix(S + N)), (one, sp.csr_matrix(S + N.T))])
+    b = AffineForm([(one, rng.standard_normal(n))])
+    L = AffineForm([(one, sp.csr_matrix(rng.standard_normal((2, n))))])
+    args = (A, b, L, np.eye(n), np.eye(2), ParameterDomain([0.0] * d, [1.0] * d))
+    with pytest.raises(ValueError, match="operator term 0"):
+        FullOrderModel(*args, symmetry="spd", xi_ref=np.full(d, 0.5))
+    FullOrderModel(*args, symmetry="general", xi_ref=np.full(d, 0.5))

@@ -460,3 +460,93 @@ def test_consistency_when_exact_everywhere(spd_small, spd_spaces):
     assert np.linalg.norm(dual_only_solve(spd_small, xi, WQx).s_tilde - s) <= tol
     assert np.linalg.norm(primal_dual_solve(spd_small, xi, Vx, WQx).s_tilde - s) <= tol
     assert np.linalg.norm(saddle_spd_solve(spd_small, xi, T).s_tilde - s) <= tol
+
+
+# ---------------------------------------------------------------------------
+# cached blocks one by one, coefficient evaluations and the domain guard
+# ---------------------------------------------------------------------------
+
+def _model_cache(which, spd_small, gen_small, spd_spaces, gen_spaces):
+    model = spd_small if which == "spd" else gen_small
+    V, WQ = spd_spaces if which == "spd" else gen_spaces
+    P = None
+    if which == "general-precond":
+        P = InverseInterpolant(model, sketch_size=40, seed=7)
+        for pt in model.domain.sample(2, np.random.default_rng(29)):
+            P.add_point(pt)
+    return model, V, WQ, P, ReducedCache(model, V, WQ, precond=P)
+
+
+@pytest.mark.parametrize("which", ["spd", "general", "general-precond"])
+def test_cache_blocks_match_direct_blocks(which, spd_small, gen_small,
+                                          spd_spaces, gen_spaces):
+    # block by block, so that a transposed block taken for the direct one on
+    # a general model shows even where a route would not read it
+    from gorom.projectors import _GROUPS, DirectBlocks
+    model, V, WQ, P, cache = _model_cache(which, spd_small, gen_small,
+                                          spd_spaces, gen_spaces)
+    names = sorted(set(DirectBlocks._RECIPES) & set(_GROUPS))
+    assert {"WAV", "Wb", "LV", "KQ", "CQ", "LXQ", "QAQ", "LQ", "QL", "GLL",
+            "KT", "CT", "LXT", "TAT", "TAV", "Tb", "LT", "zL"} <= set(names)
+    for xi in model.domain.sample(3, np.random.default_rng(30)):
+        W = build_test_space(model, V, P, xi) if P is not None else None
+        direct = DirectBlocks(model, xi, V=V, WQ=WQ, W=W, T=cache._get("T").columns)
+        cached = cache.at(xi)
+        for name in names:
+            got = getattr(cached, name)
+            want = np.reshape(getattr(direct, name), got.shape)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), name
+
+
+@pytest.mark.parametrize("which", ["spd", "general", "general-precond"])
+def test_cache_point_evaluates_each_coefficient_once(
+        which, spd_small, gen_small, spd_spaces, gen_spaces, monkeypatch):
+    from collections import Counter
+
+    from gorom import CoefficientFn
+    from gorom.projectors import _GROUPS
+    model, V, WQ, P, cache = _model_cache(which, spd_small, gen_small,
+                                          spd_spaces, gen_spaces)
+    names = [n for n in _GROUPS if n != "T" and (n != "Ys" or P is not None)]
+    xi0, xi = model.domain.sample(2, np.random.default_rng(31))
+    for name in names:  # every group built beforehand, at another point
+        getattr(cache.at(xi0), name)
+    calls = Counter()
+    original = CoefficientFn.__call__
+
+    def counting(self, x):
+        calls[id(self)] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(CoefficientFn, "__call__", counting)
+    blocks = cache.at(xi)
+    for name in names:
+        getattr(blocks, name)
+    blocks.solve_primal()
+    blocks.solve_dual_only()
+    blocks.solve_primal_dual()
+    if which == "spd":
+        blocks.solve_saddle_spd()
+    else:
+        blocks.solve_saddle_general()
+    blocks.primal_residual_norm(np.ones(blocks.r))
+    blocks.min_residual_over_T()
+    blocks.dual_schur("T")
+    blocks.pd_dual_matrix()
+    coeffs = [c for form in (model.A, model.b, model.L) for c, _ in form.terms]
+    assert sorted(calls[id(c)] for c in coeffs) == [1] * len(coeffs)
+
+
+@pytest.mark.parametrize("which", ["spd", "general", "general-precond"])
+def test_cache_refuses_points_outside_the_domain(which, spd_small, gen_small,
+                                                 spd_spaces, gen_spaces):
+    from gorom import DomainError
+    model, V, WQ, P, cache = _model_cache(which, spd_small, gen_small,
+                                          spd_spaces, gen_spaces)
+    lo, hi = model.domain.lo, model.domain.hi
+    for xi in (hi + (hi - lo), np.full(model.d, np.nan)):
+        for method in ("primal", "dual", "primal-dual", "saddle"):
+            with pytest.raises(DomainError):
+                cache.solve(xi, method)
+        with pytest.raises(DomainError):
+            cache.primal_residual_norm(xi, np.ones(cache.r))

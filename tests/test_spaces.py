@@ -134,3 +134,20 @@ def test_save_load_roundtrip(tmp_path, gram):
     back = Basis.load(tmp_path / "V.mtx", gram)
     np.testing.assert_array_equal(back.columns, basis.columns)
     assert back.tol_rank == basis.tol_rank
+
+
+def test_load_refuses_nonfinite_or_missized_columns(tmp_path, gram):
+    from gorom import GoromError
+    basis = Basis(gram, name="V")
+    basis.extend(np.random.default_rng(9).standard_normal((20, 3)))
+    basis.save(tmp_path / "V.mtx")
+    lines = (tmp_path / "V.mtx").read_text().splitlines(keepends=True)
+    lines[5] = "nan\n"  # an entry, past the two header lines and the size line
+    (tmp_path / "V.mtx").write_text("".join(lines))
+    with pytest.raises(GoromError, match="re-run gorom offline"):
+        Basis.load(tmp_path / "V.mtx", gram)
+    basis.save(tmp_path / "W.mtx")
+    manifest = (tmp_path / "W.json").read_text().replace('"dim": 3', '"dim": 2')
+    (tmp_path / "W.json").write_text(manifest)
+    with pytest.raises(GoromError, match="re-run gorom offline"):
+        Basis.load(tmp_path / "W.mtx", gram)
