@@ -6,7 +6,8 @@ coercivity constant, making both the primal-dual and the saddle estimates
 certified: the effectivity index eta = estimate / true error stays >= 1
 everywhere.  The saddle estimate minimizes both residual factors over the
 enriched space and is visibly sharper (smaller mean, max/min ratio, and
-normalized standard deviation).
+normalized standard deviation).  Each estimate takes the solution it bounds
+and reads the point and the reduced blocks the solve computed from it.
 """
 
 import numpy as np
@@ -52,10 +53,10 @@ for method in ("primal-dual", "saddle"):
         alpha = alpha_min_theta(model, xi)
         if method == "primal-dual":
             sol = cache.solve_primal_dual(xi)
-            rec = estimate_primal_dual(model, xi, cache, sol, alpha)
+            rec = estimate_primal_dual(model, sol, alpha)
         else:
             sol = cache.solve_saddle(xi)
-            rec = estimate_saddle(model, xi, cache, sol, alpha)
+            rec = estimate_saddle(model, sol, alpha)
         _, s = truth_solve(model, xi)
         deltas.append(rec.delta)
         errors.append(model.z_norm(s - sol.s_tilde))

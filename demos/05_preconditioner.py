@@ -9,7 +9,8 @@ W(xi) = P_m(xi)^* R_V0 V, which approaches the ideal test space as the
 interpolation improves.
 
 The script grows the interpolant greedily on a sketched residual and
-tracks the effectivity spread of the surrogate estimates: the max/min
+tracks the effectivity spread of the surrogate estimates (each reads its
+route, its point and its reduced blocks from the solution it bounds): the max/min
 ratio tightens as m grows (desk-scale analogue of the full-order study;
 with only 200 validation points the spread statistics carry sampling
 noise, so individual seeds can wiggle).
@@ -58,7 +59,7 @@ for method in ("primal-dual", "saddle"):
         deltas, errors, snorms = [], [], []
         for xi, s in zip(validation, truth):
             sol = cache.solve(xi, method)
-            rec = estimate_preconditioned(model, xi, cache, sol, method, P)
+            rec = estimate_preconditioned(model, sol, P)
             deltas.append(rec.delta)
             errors.append(model.z_norm(s - sol.s_tilde))
             snorms.append(model.z_norm(s))

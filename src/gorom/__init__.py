@@ -33,6 +33,7 @@ from .estimators import (
     EstimateRecord,
     alpha_min_theta,
     effectivity_report,
+    estimate_error,
     estimate_preconditioned,
     estimate_primal_dual,
     estimate_saddle,

@@ -192,10 +192,6 @@ class AffineForm:
     def nterms(self):
         return len(self.terms)
 
-    @property
-    def is_vector(self):
-        return len(self.shape) == 1
-
     def coefficients_at(self, xi):
         """Evaluate all theta_k(xi), returned as a float array."""
         return np.array([coeff(xi) for coeff, _ in self.terms])
@@ -211,10 +207,6 @@ class AffineForm:
         if not isinstance(other, AffineForm):
             return NotImplemented
         return AffineForm(list(self.terms) + list(other.terms))
-
-    def map_terms(self, fn):
-        """New list [(coeff, fn(term))] without touching coefficients."""
-        return [(coeff, fn(term)) for coeff, term in self.terms]
 
     def __repr__(self):
         return f"AffineForm({self.nterms} terms, shape={self.shape})"

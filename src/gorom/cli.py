@@ -36,13 +36,7 @@ import numpy as np
 from . import __version__
 from .bundle import load_bundle, store_bundle
 from .constants import compute_constants
-from .estimators import (
-    alpha_min_theta,
-    effectivity_report,
-    estimate_preconditioned,
-    estimate_primal_dual,
-    estimate_saddle,
-)
+from .estimators import effectivity_report, estimate_error
 from .exceptions import GoromError, GreedyAborted
 from .greedy import GreedyConfig, online_cost, run_greedy
 from .preconditioner import InverseInterpolant
@@ -78,7 +72,14 @@ def _read_xi(args, model):
                 raise GoromError(
                     f"{args.xi_file}: expected columns xi1..xi{model.d}"
                 ) from None
-            return np.array([[float(row[c]) for c in cols] for row in reader])
+            rows = []
+            for row in reader:
+                try:
+                    rows.append([float(row[c]) for c in cols])
+                except (ValueError, IndexError):
+                    raise GoromError(f"{args.xi_file}: line {reader.line_num} needs a "
+                                     f"number in each of xi1..xi{model.d}") from None
+            return np.array(rows)
     if args.sample_count:
         return sample_parameters(model.domain, args.sample_count, args.sample_seed)
     raise GoromError("provide --xi-file or --sample-count")
@@ -125,7 +126,8 @@ def load_spaces(model, path, bundle):
     """Load (V, WQ, precond-or-None) written by ``gorom offline``.
 
     Spaces whose ``manifest.json`` names another hash than that of the
-    ``bundle`` directory are refused; spaces without a manifest load.
+    ``bundle`` directory are refused, and so are bases of another size than
+    the model's; spaces without a manifest load.
     """
     path = Path(path)
     mfile = path / "manifest.json"
@@ -222,12 +224,12 @@ def cmd_eval(args):
 
     def solve_one(xi):
         t0 = time.perf_counter()
-        est = cache.solve(xi, args.method)
-        return est, 1e3 * (time.perf_counter() - t0)
+        s = cache.solve(xi, args.method).s_tilde
+        return s, 1e3 * (time.perf_counter() - t0)
 
     results = map_points(solve_one, xis, args.threads)
-    rows = [list(xi) + list(est.s_tilde) + [args.method, f"{ms:.3f}"]
-            for xi, (est, ms) in zip(xis, results)]
+    rows = [list(xi) + list(s) + [args.method, f"{ms:.3f}"]
+            for xi, (s, ms) in zip(xis, results)]
     header = _xi_header(model.d) + [f"s{j + 1}" for j in range(model.l)] \
         + ["method", "wall_time_ms"]
     _write_csv(args.out, header, rows)
@@ -248,39 +250,26 @@ def cmd_constants(args):
     return 0
 
 
-def _estimate_records(model, cache, precond, method, alpha_mode, xis, threads=None):
+def _estimates(model, cache, precond, method, alpha, xis, threads=None):
+    """(s_tilde, EstimateRecord) per point; a point's blocks end with its solution."""
     def one(xi):
         sol = cache.solve(xi, method)
-        if alpha_mode == "min-theta":
-            alpha = alpha_min_theta(model, xi)
-            rec = (estimate_primal_dual if method == "primal-dual"
-                   else estimate_saddle)(model, xi, cache, sol, alpha)
-        else:
-            rec = estimate_preconditioned(model, xi, cache, sol, method, precond)
-        return rec, sol
+        return sol.s_tilde, estimate_error(model, sol, alpha, precond)
 
-    results = map_points(one, xis, threads)
-    return [r for r, _ in results], [s for _, s in results]
+    return map_points(one, xis, threads)
 
 
 def cmd_estimate(args):
     model, V, WQ, precond = _load_all(args)
-    if args.method not in ("primal-dual", "saddle"):
-        raise GoromError("estimate supports methods primal-dual and saddle")
-    alpha_mode = args.alpha
-    if alpha_mode == "auto":
-        alpha_mode = "min-theta" if (model.symmetry == "spd"
-                                     and model.coercive_affine) else "none"
     xis = _read_xi(args, model)
     cache = ReducedCache(model, V, WQ, precond=precond)
-    records, sols = _estimate_records(model, cache, precond, args.method,
-                                      alpha_mode, xis, args.threads)
     rows = []
-    for xi, rec, sol in zip(xis, records, sols):
+    for xi, (s, rec) in zip(xis, _estimates(model, cache, precond, args.method,
+                                              args.alpha, xis, args.threads)):
         rows.append(list(xi) + [rec.delta, rec.primal_factor, rec.dual_factor,
                                 "" if rec.alpha is None else rec.alpha,
                                 rec.method, int(rec.certified)]
-                    + list(sol.s_tilde))
+                    + list(s))
     header = _xi_header(model.d) + ["delta", "primal_factor", "dual_factor",
                                     "alpha", "method", "certified"] \
         + [f"s{j + 1}" for j in range(model.l)]
@@ -343,17 +332,15 @@ def cmd_compare(args):
             nfact = tr["iterations"][-1]["factorizations"]
     truth = map_points(lambda xi: truth_solve(model, xi)[1], xis,
                           args.threads)
-    alpha_mode = "min-theta" if (model.symmetry == "spd"
-                                 and model.coercive_affine) else "none"
     cache = ReducedCache(model, V, WQ, precond=precond)
     rows = []
     for method in METHODS:
         sup_delta = ""
         if method in ("primal-dual", "saddle"):
-            records, sols = _estimate_records(model, cache, precond, method,
-                                              alpha_mode, xis, args.threads)
-            sup_delta = max(rec.delta for rec in records)
-            ss = [sol.s_tilde for sol in sols]
+            results = _estimates(model, cache, precond, method, "auto", xis,
+                                 args.threads)
+            sup_delta = max(rec.delta for _, rec in results)
+            ss = [s for s, _ in results]
         else:
             ss = map_points(lambda xi: cache.solve(xi, method).s_tilde,
                                xis, args.threads)

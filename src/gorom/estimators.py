@@ -10,7 +10,10 @@ dual factor by the minimized one, which tightens the estimate.
 
 When alpha is out of reach, surrogate estimates drop the 1/alpha factor
 and optionally precondition the primal residual with an interpolated
-operator inverse; these are not certified and are tagged as such.
+operator inverse; these are not certified and are tagged as such, and
+:func:`estimate_error` picks one of the two.  Every estimate reads the
+point, the route and the reduced blocks from the solution it bounds, so no
+block the solve contracted is contracted again.
 """
 
 from dataclasses import dataclass
@@ -26,6 +29,7 @@ __all__ = [
     "EstimateRecord",
     "EffectivityReport",
     "alpha_min_theta",
+    "estimate_error",
     "estimate_primal_dual",
     "estimate_saddle",
     "estimate_preconditioned",
@@ -94,69 +98,82 @@ _NO_ALPHA = ("alpha is unavailable; use estimate_preconditioned for the "
              "surrogate without the 1/alpha factor")
 
 
-def estimate_primal_dual(model, xi, cache, sol, alpha):
+def _record(sol, pf, df, alpha, method, certified):
+    delta = pf * df / alpha if certified else pf * df
+    return EstimateRecord(
+        xi=np.asarray(sol.blocks.xi, float), delta=delta, primal_factor=pf,
+        dual_factor=df, alpha=alpha, method=method, certified=certified,
+    )
+
+
+def _saddle_residual(sol):
+    """b - A t at the saddle point t of a general saddle solution."""
+    blocks = sol.blocks
+    return np.ravel(blocks.b) - blocks.A @ blocks.saddle_point(sol)
+
+
+def estimate_primal_dual(model, sol, alpha):
     """Certified estimate: primal residual x dual operator norm / alpha."""
     if alpha is None:
         raise UnsupportedModelError(_NO_ALPHA)
-    pf = cache.primal_residual_norm(xi, sol.primal_coeffs)
-    df = _dual_sup(model, cache.pd_dual_matrix(xi))
-    return EstimateRecord(
-        xi=np.asarray(xi, float), delta=pf * df / alpha,
-        primal_factor=pf, dual_factor=df, alpha=float(alpha),
-        method="primal-dual", certified=True,
-    )
+    pf = sol.blocks.primal_residual_norm(sol.primal_coeffs)
+    df = _dual_sup(model, sol.blocks.pd_dual_matrix())
+    return _record(sol, pf, df, float(alpha), "primal-dual", True)
 
 
-def estimate_saddle(model, xi, cache, sol, alpha):
+def estimate_saddle(model, sol, alpha):
     """Certified saddle estimate with minimized primal and dual factors."""
     if alpha is None:
         raise UnsupportedModelError(_NO_ALPHA)
-    if model.symmetry == "spd":
-        pf = cache.min_residual_over_T(xi)
-        df = _dual_sup(model, cache.dual_schur(xi, "T"))
-    else:
-        t = cache.saddle_corrected_point(xi, sol)
-        resid = model.rhs_at(xi) - model.operator_at(xi) @ t
-        pf = model.v0_dual_norm(resid)
-        df = _saddle_dual_factor(model, xi, cache, sol)
-    return EstimateRecord(
-        xi=np.asarray(xi, float), delta=pf * df / alpha,
-        primal_factor=pf, dual_factor=df, alpha=float(alpha),
-        method="saddle", certified=True,
-    )
+    pf = (sol.blocks.min_residual_over_T() if model.symmetry == "spd"
+          else model.v0_dual_norm(_saddle_residual(sol)))
+    df = _dual_sup(model, sol.blocks.dual_schur("T"))
+    return _record(sol, pf, df, float(alpha), "saddle", True)
 
 
-def estimate_preconditioned(model, xi, cache, sol, method, precond=None):
+def estimate_preconditioned(model, sol, precond=None):
     """Surrogate estimate with a preconditioned primal residual, no alpha.
 
     With ``precond=None`` (or no stored points) the preconditioner falls
     back to R_V0^{-1}, so the primal factor is the plain residual dual
     norm; the record is tagged non-certified either way.
     """
-    if method == "primal-dual":
-        resid = cache.residual_vector(xi, sol.primal_coeffs)
-        df = _dual_sup(model, cache.pd_dual_matrix(xi))
-    elif method == "saddle":
-        t = cache.saddle_corrected_point(xi, sol)
-        resid = np.asarray(model.rhs_at(xi) - model.operator_at(xi) @ t)
-        df = _saddle_dual_factor(model, xi, cache, sol)
+    blocks = sol.blocks
+    if sol.method == "primal-dual":
+        resid = blocks.residual_vector(sol.primal_coeffs)
+        df = _dual_sup(model, blocks.pd_dual_matrix())
+    elif sol.method == "saddle":
+        resid = _saddle_residual(sol)
+        df = _dual_sup(model, blocks.dual_schur("T"))
     else:
-        raise ValueError(f"unknown method {method!r}")
-    x = precond.apply(xi, resid) if precond is not None else model.riesz_v0(resid)
-    pf = model.v0_norm(x)
+        raise ValueError(f"no estimate for method {sol.method!r}")
+    x = (precond.apply(blocks.xi, resid) if precond is not None
+         else model.riesz_v0(resid))
     m = precond.m if precond is not None else 0
-    return EstimateRecord(
-        xi=np.asarray(xi, float), delta=pf * df,
-        primal_factor=pf, dual_factor=df, alpha=None,
-        method=f"{method}-surrogate[m={m}]", certified=False,
-    )
+    return _record(sol, model.v0_norm(x), df, None,
+                   f"{sol.method}-surrogate[m={m}]", False)
 
 
-def _saddle_dual_factor(model, xi, cache, sol):
-    """Dual factor over T, or over the T(xi) a preconditioned solution carries."""
-    schur = (cache.dual_schur_dynamic(xi, sol) if sol.aux
-             else cache.dual_schur(xi, "T"))
-    return _dual_sup(model, schur)
+def estimate_error(model, sol, alpha="auto", precond=None):
+    """The certified or the surrogate estimate of a primal-dual or saddle
+    solution, as ``gorom estimate --alpha`` chooses it.
+
+    ``alpha="min-theta"`` certifies with :func:`alpha_min_theta`;
+    ``"none"`` gives the surrogate of :func:`estimate_preconditioned` with
+    ``precond``; ``"auto"`` is min-theta on spd coercive-affine models and
+    none otherwise.
+    """
+    if alpha == "auto":
+        alpha = ("min-theta" if model.symmetry == "spd" and model.coercive_affine
+                 else "none")
+    if alpha == "none":
+        return estimate_preconditioned(model, sol, precond)
+    if alpha != "min-theta":
+        raise ValueError(f"unknown alpha rule {alpha!r}")
+    certified = {"primal-dual": estimate_primal_dual, "saddle": estimate_saddle}
+    if sol.method not in certified:
+        raise ValueError(f"no estimate for method {sol.method!r}")
+    return certified[sol.method](model, sol, alpha_min_theta(model, sol.blocks.xi))
 
 
 def select_output_direction(model, xi, dual_space, method="saddle"):

@@ -41,13 +41,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._linalg import dense
-from .estimators import (
-    alpha_min_theta,
-    estimate_preconditioned,
-    estimate_primal_dual,
-    estimate_saddle,
-    select_output_direction,
-)
+from .estimators import estimate_error, select_output_direction
 from .exceptions import GoromError, GreedyAborted
 from .preconditioner import InverseInterpolant
 from .problems import sample_parameters
@@ -187,21 +181,6 @@ def _training_set(model, cfg):
     return sample_parameters(model.domain, cfg.train_count, cfg.train_seed)
 
 
-def _estimate_at(model, cache, cfg, precond, xi):
-    certified = model.symmetry == "spd" and model.coercive_affine
-    if cfg.method == "primal-dual":
-        sol = cache.solve_primal_dual(xi)
-        if certified:
-            return estimate_primal_dual(model, xi, cache, sol,
-                                        alpha_min_theta(model, xi))
-        return estimate_preconditioned(model, xi, cache, sol,
-                                       "primal-dual", precond)
-    sol = cache.solve_saddle(xi)
-    if certified:
-        return estimate_saddle(model, xi, cache, sol, alpha_min_theta(model, xi))
-    return estimate_preconditioned(model, xi, cache, sol, "saddle", precond)
-
-
 def run_greedy(model, cfg, threads=None):
     """Run the configured greedy construction; returns a GreedyResult.
 
@@ -224,7 +203,8 @@ def run_greedy(model, cfg, threads=None):
         cache = ReducedCache(model, V, WQ, precond=precond, tol_rank=cfg.tol_rank)
         try:
             deltas = [rec.delta for rec in map_points(
-                lambda xi: _estimate_at(model, cache, cfg, precond, xi),
+                lambda xi: estimate_error(model, cache.solve(xi, cfg.method),
+                                          precond=precond),
                 train, threads or 1)]
         except GoromError as exc:
             trace.aborted = f"iteration {i}: {exc}"

@@ -26,11 +26,15 @@ blocks on first read:
   per point, so that online assembly is polynomial in the reduced dimensions.
   Each block is built on its first use, so a route builds only the blocks it
   reads, and on spd models a transposed block is the direct one.
+
+A route returns an :class:`OutputEstimate` that holds the blocks it read;
+the estimators of :mod:`gorom.estimators` take residual norms, Schur
+complements and the saddle point from them instead of computing them again.
 """
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -55,21 +59,19 @@ __all__ = [
 
 @dataclass
 class OutputEstimate:
-    """An output estimate with the reduced solution pieces that produced it."""
+    """An output estimate with the reduced solution pieces that produced it.
+
+    ``blocks`` holds the reduced blocks at the point (``blocks.xi``) that the
+    route read, and the estimates of this solution read them again; keep
+    only ``s_tilde`` of a solution that must outlive its point.
+    """
 
     s_tilde: np.ndarray
     method: str
     primal_coeffs: np.ndarray | None = None
     dual_coeffs: np.ndarray | None = None
     t_coeffs: np.ndarray | None = None
-    aux: dict = field(default_factory=dict)
-
-
-def _dual_schur(K, C, G):
-    """G - C^T K^{-1} C: the Gram of the minimized dual residual."""
-    if K.shape[0] == 0:
-        return G
-    return G - C.T @ solve_spd_min(K, C)
+    blocks: "_Blocks | None" = None
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +92,16 @@ class _Blocks:
     * saddle: ``Tb``, ``TAT``, ``LT`` (spd), ``KT``, ``CT``, ``TAV``, ``LXT``
       (general), defined as above with T in place of W or WQ;
     * residual norms: ``Rbb`` = b^T R^{-1} b, ``RAA`` = (A V)^T R^{-1} A V,
-      ``RAb`` = (A V)^T R^{-1} b, ``RTT`` and ``RTb`` likewise over T.
+      ``RAb`` = (A V)^T R^{-1} b, ``RTT`` and ``RTb`` likewise over T;
+    * full order: ``A``, ``b`` and ``XT`` = R^{-1} A^T T, which the general
+      saddle point and its residual read.
 
-    Subclasses also set ``spd``, ``l`` and the dimensions ``r``, ``k``, ``p``
-    of V, WQ and T.  A :class:`ReducedCache` stores each block stacked over
-    the terms of the forms it depends on: ``WAV`` as (Q_A, r, r), ``KT`` as
-    (Q_A, Q_A, p, p) and, under an interpolant, ``WAV`` as (m, Q_A, r, r) over
-    points and terms.  On spd models A_k^T = A_k, so ``KT`` is ``RTT``.
+    Subclasses also set ``spd``, ``l``, ``xi``, the columns ``Vc`` and ``Tc``
+    of V and T, and the dimensions ``r``, ``k``, ``p`` of V, WQ and T.  A
+    :class:`ReducedCache` stores each block stacked over the terms of the
+    forms it depends on: ``WAV`` as (Q_A, r, r), ``KT`` as (Q_A, Q_A, p, p)
+    and, under an interpolant, ``WAV`` as (m, Q_A, r, r) over points and
+    terms.  On spd models A_k^T = A_k, so ``KT`` is ``RTT``.
     """
 
     def __getattr__(self, name):
@@ -111,7 +116,7 @@ class _Blocks:
     def solve_primal(self):
         U = solve_checked(self.WAV, self.Wb.ravel(), "Petrov-Galerkin reduced system")
         s = self.LV @ U if self.r else np.zeros(self.l)
-        return OutputEstimate(np.asarray(s), "primal", primal_coeffs=U)
+        return OutputEstimate(np.asarray(s), "primal", primal_coeffs=U, blocks=self)
 
     def dual_correction(self, rhs):
         """Dual coefficients for the residual functional ``rhs`` on WQ, and
@@ -126,7 +131,7 @@ class _Blocks:
 
     def solve_dual_only(self):
         Y, s = self.dual_correction(self.Qb.ravel() if self.k else np.zeros(0))
-        return OutputEstimate(s, "dual", dual_coeffs=Y)
+        return OutputEstimate(s, "dual", dual_coeffs=Y, blocks=self)
 
     def solve_primal_dual(self):
         primal = self.solve_primal()
@@ -134,12 +139,14 @@ class _Blocks:
                if self.k else np.zeros(0))
         Y, corr = self.dual_correction(rhs)
         return OutputEstimate(primal.s_tilde + corr, "primal-dual",
-                              primal_coeffs=primal.primal_coeffs, dual_coeffs=Y)
+                              primal_coeffs=primal.primal_coeffs, dual_coeffs=Y,
+                              blocks=self)
 
     def solve_saddle_spd(self):
         """Saddle projection, symmetric coercive form: one SPD system over T."""
         if self.p == 0:
-            return OutputEstimate(np.zeros(self.l), "saddle", t_coeffs=np.zeros(0))
+            return OutputEstimate(np.zeros(self.l), "saddle", t_coeffs=np.zeros(0),
+                                  blocks=self)
         M = self.TAT
         try:
             cho = la.cho_factor(0.5 * (M + M.T), check_finite=False)
@@ -148,7 +155,8 @@ class _Blocks:
                 f"saddle reduced matrix is not SPD ({exc}); model misuse?"
             ) from exc
         Y = la.cho_solve(cho, self.Tb.ravel(), check_finite=False)
-        return OutputEstimate(np.asarray(self.LT @ Y), "saddle", t_coeffs=Y)
+        return OutputEstimate(np.asarray(self.LT @ Y), "saddle", t_coeffs=Y,
+                              blocks=self)
 
     def solve_saddle_general(self):
         """Saddle projection in block form, valid for any model (R_V0 norm)."""
@@ -159,17 +167,32 @@ class _Blocks:
                 "discrete inf-sup constant is zero"
             )
         if p == 0:
-            return OutputEstimate(np.zeros(self.l), "saddle",
-                                  primal_coeffs=np.zeros(0), dual_coeffs=np.zeros(0))
+            return OutputEstimate(np.zeros(self.l), "saddle", primal_coeffs=np.zeros(0),
+                                  dual_coeffs=np.zeros(0), blocks=self)
         B = self.TAV
         big = np.block([[self.KT, B], [B.T, np.zeros((r, r))]])
         rhs = np.concatenate([self.Tb.ravel(), np.zeros(r)])
         sol = solve_checked(big, rhs, "saddle block system")
         Y, U = sol[:p], sol[p:]
         s = self.LV @ U + self.LXT @ Y
-        return OutputEstimate(np.asarray(s), "saddle", primal_coeffs=U, dual_coeffs=Y)
+        return OutputEstimate(np.asarray(s), "saddle", primal_coeffs=U, dual_coeffs=Y,
+                              blocks=self)
 
     # -- estimator primitives ------------------------------------------------
+
+    def residual_vector(self, U):
+        """b - A V U as a full-order vector."""
+        r = np.ravel(self.b)
+        if self.r and U is not None and U.size:
+            r = r - self._apply_AV(U)
+        return r
+
+    def saddle_point(self, est):
+        """The saddle point t of a saddle solution ``est`` of these blocks:
+        T y on the spd route, V u + R_V0^{-1} A^T T y on the general one."""
+        if est.t_coeffs is not None:
+            return self.Tc @ est.t_coeffs
+        return self.XT @ est.dual_coeffs + self.Vc @ est.primal_coeffs
 
     def primal_residual_norm(self, U):
         """|| b - A V U || in the R_V0 dual norm."""
@@ -191,11 +214,12 @@ class _Blocks:
     def dual_schur(self, space="WQ"):
         """G_LL - C^T K^{-1} C over WQ or T: the Gram of the dual-residual
         minimization."""
-        if space == "WQ":
-            return _dual_schur(self.KQ, self.CQ, self.GLL) if self.k else self.GLL
-        if space == "T":
-            return _dual_schur(self.KT, self.CT, self.GLL) if self.p else self.GLL
-        raise ValueError(f"unknown space {space!r}")
+        if space not in ("WQ", "T"):
+            raise ValueError(f"unknown space {space!r}")
+        if (self.k if space == "WQ" else self.p) == 0:
+            return self.GLL
+        K, C = (self.KQ, self.CQ) if space == "WQ" else (self.KT, self.CT)
+        return self.GLL - C.T @ solve_spd_min(K, C)
 
     def pd_dual_matrix(self):
         """(L^* - A^* Q_k)-Gram in the R_V0 dual norm, as an l x l matrix."""
@@ -220,9 +244,9 @@ class DirectBlocks(_Blocks):
         "zL": lambda d: d.model.riesz_v0(d.Ld.T),
         "GLL": lambda d: d.Ld @ d.zL,
         "LV": lambda d: d.Ld @ d.Vc,
-        "WAV": lambda d: d.Wc.T @ (d.A @ d.Vc),
+        "WAV": lambda d: d.Wc.T @ d.AV,
         "Wb": lambda d: d.Wc.T @ d.b,
-        "QAV": lambda d: d.Qc.T @ (d.A @ d.Vc),
+        "QAV": lambda d: d.Qc.T @ d.AV,
         "Qb": lambda d: d.Qc.T @ d.b,
         "QAQ": lambda d: d.Qc.T @ (d.A @ d.Qc),
         "LQ": lambda d: d.Ld @ d.Qc,
@@ -230,17 +254,25 @@ class DirectBlocks(_Blocks):
         "AtQ": lambda d: d.A.T @ d.Qc,
         "XQ": lambda d: d.model.riesz_v0(d.AtQ),
         "KQ": lambda d: d.AtQ.T @ d.XQ,
-        "CQ": lambda d: d.AtQ.T @ d.zL,
+        "CQ": lambda d: d.XQ.T @ d.Ld.T,
         "LXQ": lambda d: d.Ld @ d.XQ,
         "Tb": lambda d: d.Tc.T @ d.b,
-        "TAT": lambda d: d.Tc.T @ (d.A @ d.Tc),
+        "TAT": lambda d: d.Tc.T @ d.AT,
         "LT": lambda d: d.Ld @ d.Tc,
-        "TAV": lambda d: d.Tc.T @ (d.A @ d.Vc),
+        "TAV": lambda d: d.Tc.T @ d.AV,
         "AtT": lambda d: d.A.T @ d.Tc,
         "XT": lambda d: d.model.riesz_v0(d.AtT),
         "KT": lambda d: d.AtT.T @ d.XT,
-        "CT": lambda d: d.AtT.T @ d.zL,
+        "CT": lambda d: d.XT.T @ d.Ld.T,
         "LXT": lambda d: d.Ld @ d.XT,
+        "zb": lambda d: d.model.riesz_v0(d.b),
+        "Rbb": lambda d: d.b @ d.zb,
+        "AV": lambda d: d.A @ d.Vc,
+        "RAA": lambda d: d.AV.T @ d.model.riesz_v0(d.AV),
+        "RAb": lambda d: d.AV.T @ d.zb,
+        "AT": lambda d: d.A @ d.Tc,
+        "RTT": lambda d: d.AT.T @ d.model.riesz_v0(d.AT),
+        "RTb": lambda d: d.AT.T @ d.zb,
     }
 
     def __init__(self, model, xi, V=None, WQ=None, W=None, T=None):
@@ -259,6 +291,9 @@ class DirectBlocks(_Blocks):
         except KeyError:
             raise AttributeError(name) from None
         return recipe(self)
+
+    def _apply_AV(self, U):
+        return self.AV @ U
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +354,9 @@ def saddle_general_solve(model, xi, V, T):
 
     Solves for (y, u) in T x V the coupled system with the residual-induced
     Gram A R_V0^{-1} A^T on T, and returns the output estimate
-    s = L V u + L R_V0^{-1} A^T T y; ``aux`` carries T, X = R_V0^{-1} A^T T
-    and that Gram K.
+    s = L V u + L R_V0^{-1} A^T T y.
     """
-    blocks = DirectBlocks(model, xi, V=V, T=T)
-    est = blocks.solve_saddle_general()
-    if blocks.p:
-        est.aux = {"T": blocks.Tc, "X": blocks.XT, "K": blocks.KT}
-    return est
+    return DirectBlocks(model, xi, V=V, T=T).solve_saddle_general()
 
 
 def build_test_space(model, V, precond, xi):
@@ -412,7 +442,7 @@ _GROUPS = {
     "FA_V": lambda c, g: _family(c.model, "A", c.Vc),
     "FA_Q": lambda c, g: _family(c.model, "A", c.WQc),
     "FAt_Q": lambda c, g: _family(c.model, "A", c.WQc, transpose=True),
-    "Fb": lambda c, g: _family(c.model, "b"),
+    "b": lambda c, g: _family(c.model, "b"),
     "FL": lambda c, g: _family(c.model, "L"),
     "T": lambda c, g: union_basis([c.Vc, c.WQc], gram=c.model.gram_v0,
                                   tol_rank=c.tol_rank, name="T"),
@@ -421,38 +451,38 @@ _GROUPS = {
     # test-space images Y_i = A(xi_i)^{-T} R_V0 V: W(xi) = sum_i lambda_i Y_i
     "Ys": lambda c, g: _Affine(("lam",), [f.solve(c.model.gram_v0 @ c.Vc, transpose=True)
                                           for f in c.precond.factorizations]),
-    # Riesz representers of the term images
+    # Riesz representers of the term images; XQ = R_V0^{-1} A^T WQ, XT likewise
     "zA_V": lambda c, g: _riesz(c, g("FA_V")),
-    "zAt_Q": lambda c, g: _riesz(c, g("FAt_Q")),
-    "zb": lambda c, g: _riesz(c, g("Fb")),
+    "XQ": lambda c, g: _riesz(c, g("FAt_Q")),
+    "zb": lambda c, g: _riesz(c, g("b")),
     "zL": lambda c, g: _riesz(c, g("FL")),
     "zA_T": lambda c, g: _riesz(c, g("FA_T")),
-    "zAt_T": lambda c, g: _riesz(c, g("FAt_T")),
+    "XT": lambda c, g: _riesz(c, g("FAt_T")),
     # primal route: W = V, or W(xi) under an interpolant
     "WAV": lambda c, g: _pairs(g("Ys") if c._precond_w else _fixed(c.Vc), g("FA_V")),
-    "Wb": lambda c, g: _pairs(g("Ys") if c._precond_w else _fixed(c.Vc), g("Fb")),
+    "Wb": lambda c, g: _pairs(g("Ys") if c._precond_w else _fixed(c.Vc), g("b")),
     "LV": lambda c, g: _pairs(g("FL"), _fixed(c.Vc)),
     # primal residual in the R_V0 dual norm
     "RAA": lambda c, g: _pairs(g("FA_V"), g("zA_V")),
-    "Rbb": lambda c, g: _pairs(g("Fb"), g("zb")),
+    "Rbb": lambda c, g: _pairs(g("b"), g("zb")),
     "RAb": lambda c, g: _pairs(g("FA_V"), g("zb")),
     # dual route
     "QAV": lambda c, g: _pairs(_fixed(c.WQc), g("FA_V")),
-    "Qb": lambda c, g: _pairs(_fixed(c.WQc), g("Fb")),
+    "Qb": lambda c, g: _pairs(_fixed(c.WQc), g("b")),
     "QAQ": lambda c, g: _pairs(_fixed(c.WQc), g("FA_Q")),
     "QL": lambda c, g: _pairs(_fixed(c.WQc), g("FL")),
     # contiguous like a product's, since BLAS results depend on the layout
     "LQ": lambda c, g: _Affine(("L", "1"), np.ascontiguousarray(g("QL").transposed().stack)),
-    "KQ": lambda c, g: _pairs(g("FAt_Q"), g("zAt_Q")),
+    "KQ": lambda c, g: _pairs(g("FAt_Q"), g("XQ")),
     "CQ": lambda c, g: _pairs(g("FAt_Q"), g("zL")),
     "LXQ": lambda c, g: g("CQ").transposed(),
     "GLL": lambda c, g: _pairs(g("FL"), g("zL")),
     # saddle route over T = V + WQ
-    "Tb": lambda c, g: _pairs(_fixed(g("T").columns), g("Fb")),
+    "Tb": lambda c, g: _pairs(_fixed(g("T").columns), g("b")),
     "TAT": lambda c, g: _pairs(_fixed(g("T").columns), g("FA_T")),
     "LT": lambda c, g: _pairs(g("FL"), _fixed(g("T").columns)),
     "TAV": lambda c, g: _pairs(_fixed(g("T").columns), g("FA_V")),
-    "KT": lambda c, g: _pairs(g("FAt_T"), g("zAt_T")),
+    "KT": lambda c, g: _pairs(g("FAt_T"), g("XT")),
     "CT": lambda c, g: _pairs(g("FAt_T"), g("zL")),
     "LXT": lambda c, g: g("CT").transposed(),
     "RTT": lambda c, g: _pairs(g("FA_T"), g("zA_T")),
@@ -461,7 +491,7 @@ _GROUPS = {
 
 # every operator term of an spd model is symmetric (FullOrderModel checks
 # each), so A_k^T X is A_k X and each transposed group is the direct one
-_SPD_ALIASES = {"FAt_Q": "FA_Q", "FAt_T": "FA_T", "zAt_T": "zA_T", "KT": "RTT"}
+_SPD_ALIASES = {"FAt_Q": "FA_Q", "FAt_T": "FA_T", "XT": "zA_T", "KT": "RTT"}
 
 
 class _CachedBlocks(_Blocks):
@@ -470,7 +500,7 @@ class _CachedBlocks(_Blocks):
     def __init__(self, cache, xi):
         self.cache, self.xi = cache, xi
         self.spd, self.l = cache._spd, cache.model.l
-        self.r, self.k = cache.r, cache.k
+        self.r, self.k, self.Vc = cache.r, cache.k, cache.Vc
         self._theta = {}
 
     def __getitem__(self, name):
@@ -487,10 +517,22 @@ class _CachedBlocks(_Blocks):
     def p(self):
         return self.cache.p
 
+    @property
+    def Tc(self):
+        return self.cache._get("T").columns
+
     def _block(self, name):
+        if name == "A":  # assembled at full order: read by the general saddle residual
+            return self.cache.model.operator_at(self.xi)
+        if self.spd and name in _SPD_ALIASES:
+            return getattr(self, _SPD_ALIASES[name])
         if name not in _GROUPS or name == "T":
             raise AttributeError(name)
         return self.cache._get(name).at(self)
+
+    def _apply_AV(self, U):
+        # the term images times U, summed: A(xi) itself is never assembled
+        return _Affine(("A",), [F @ U for F in self.cache._get("FA_V").stack]).at(self)
 
 
 class ReducedCache:
@@ -519,6 +561,7 @@ class ReducedCache:
         self.WQc = as_columns(WQ) if WQ is not None else np.zeros((n, 0))
         self.precond = precond
         self.tol_rank = float(tol_rank)
+        self.r, self.k = self.Vc.shape[1], self.WQc.shape[1]
         self._spd = model.symmetry == "spd"
         # a general model with interpolation points gets the test space
         # W(xi) = P_m(xi)^* R_V0 V, and its saddle route a T(xi) to match
@@ -545,16 +588,6 @@ class ReducedCache:
         self.model.domain.require(xi)
         return _CachedBlocks(self, xi)
 
-    # -- dims ------------------------------------------------------------
-
-    @property
-    def r(self):
-        return self.Vc.shape[1]
-
-    @property
-    def k(self):
-        return self.WQc.shape[1]
-
     @property
     def p(self):
         return self._get("T").dim
@@ -571,18 +604,16 @@ class ReducedCache:
         return self.at(xi).solve_primal_dual()
 
     def solve_saddle(self, xi):
-        if self._precond_w:
-            return self._solve_saddle_dynamic(xi)
         blocks = self.at(xi)
+        if self._precond_w:
+            # parameter-dependent T(xi) = (W_r(xi), WQ), assembled at full order
+            # from the stored factorizations and the cached R_V0 factor; the
+            # solution carries the DirectBlocks at xi, which its estimate reads
+            W = blocks.Ys if self.r else np.zeros((self.model.n, 0))
+            T = union_basis([W, self.WQc], gram=self.model.gram_v0,
+                            tol_rank=self.tol_rank, name="T")
+            blocks = DirectBlocks(self.model, xi, V=self.Vc, T=T)
         return blocks.solve_saddle_spd() if self._spd else blocks.solve_saddle_general()
-
-    def _solve_saddle_dynamic(self, xi):
-        # parameter-dependent T(xi) = (W_r(xi), WQ): assembled at full order,
-        # using only the stored factorizations and the cached R_V0 factor
-        W = self.at(xi).Ys if self.r else np.zeros((self.model.n, 0))
-        T = union_basis([W, self.WQc], gram=self.model.gram_v0,
-                        tol_rank=self.tol_rank, name="T")
-        return saddle_general_solve(self.model, xi, self.Vc, T)
 
     def solve(self, xi, method):
         routes = {"primal": self.solve_primal, "dual": self.solve_dual_only,
@@ -592,6 +623,9 @@ class ReducedCache:
         return routes[method](xi)
 
     # -- estimator primitives ----------------------------------------------
+    # The _Blocks methods at xi, evaluating the blocks anew; the estimators
+    # read the blocks a solution carries instead (OutputEstimate.blocks).
+    # The names stay for callers outside the package, perfbench among them.
 
     def primal_residual_norm(self, xi, U):
         """|| b(xi) - A(xi) V U || in the R_V0 dual norm, via cached blocks."""
@@ -599,39 +633,23 @@ class ReducedCache:
 
     def residual_vector(self, xi, U):
         """b(xi) - A(xi) V U as a full-order vector (from cached term images)."""
-        blocks = self.at(xi)
-        r = blocks.Fb.ravel()
-        if self.r and U is not None and U.size:
-            AVU = _Affine(("A",), [F @ U for F in self._get("FA_V").stack])
-            r = r - AVU.at(blocks)
-        return r
+        return self.at(xi).residual_vector(U)
 
     def min_residual_over_T(self, xi):
         """min over t in T of || A(xi) t - b(xi) || in the R_V0 dual norm."""
         return self.at(xi).min_residual_over_T()
 
     def saddle_corrected_point(self, xi, est):
-        """The saddle point t of a saddle solution ``est``.
-
-        t = T y for spd models and V u + R_V0^{-1} A(xi)^T T y otherwise,
-        with T fixed or, under a preconditioner, the T(xi) ``est`` carries.
-        """
-        if self._spd:
-            return self._get("T").columns @ est.t_coeffs
-        X = est.aux["X"] if est.aux else self.at(xi).zAt_T
-        t = X @ est.dual_coeffs
-        if self.r and est.primal_coeffs is not None and est.primal_coeffs.size:
-            t = t + self.Vc @ est.primal_coeffs
-        return t
+        """The saddle point of a saddle solution ``est`` at xi."""
+        return est.blocks.saddle_point(est)
 
     def dual_schur(self, xi, space="WQ"):
         """G_LL - C^T K^{-1} C: the Gram of the dual-residual minimization."""
         return self.at(xi).dual_schur(space)
 
     def dual_schur_dynamic(self, xi, est):
-        """Dual Schur complement over a parameter-dependent T carried by est."""
-        blocks = self.at(xi)
-        return _dual_schur(est.aux["K"], est.aux["X"].T @ blocks.FL, blocks.GLL)
+        """Dual Schur complement over the T, fixed or T(xi), of a saddle solution."""
+        return est.blocks.dual_schur("T")
 
     def pd_dual_matrix(self, xi):
         """(L^* - A^* Q_k)-Gram in the R_V0 dual norm, as an l x l matrix."""

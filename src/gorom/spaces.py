@@ -114,6 +114,9 @@ class Basis:
         with open(path.with_suffix(".json")) as fh:
             manifest = json.load(fh)
         basis = cls(gram, manifest["n"], manifest["tol_rank"], manifest.get("name", ""))
+        if basis.n != gram.shape[0]:
+            raise GoromError(f"{path} holds vectors of size {basis.n}, not the "
+                             f"{gram.shape[0]} of this model; re-run gorom offline")
         cols = np.asarray(mmread(str(path)), dtype=float)
         if cols.shape != (basis.n, manifest["dim"]) or not np.all(np.isfinite(cols)):
             raise GoromError(f"{path} does not hold {basis.n} x {manifest['dim']} finite "

@@ -3,7 +3,9 @@ import pytest
 
 from gorom import (
     Basis,
+    InverseInterpolant,
     ProblemConfig,
+    ReducedCache,
     dual_truth_solve,
     make_advection_diffusion_problem,
     make_diffusion_problem,
@@ -45,3 +47,16 @@ def spd_spaces(spd_small):
 @pytest.fixture(scope="session")
 def gen_spaces(gen_small):
     return snapshot_spaces(gen_small, 4, 2, seed=102)
+
+
+def model_cache(which, spd_small, gen_small, spd_spaces, gen_spaces):
+    """(model, V, WQ, interpolant or None, ReducedCache) for "spd", "general"
+    or "general-precond" (two interpolation points)."""
+    model = spd_small if which == "spd" else gen_small
+    V, WQ = spd_spaces if which == "spd" else gen_spaces
+    P = None
+    if which == "general-precond":
+        P = InverseInterpolant(model, sketch_size=40, seed=7)
+        for pt in model.domain.sample(2, np.random.default_rng(29)):
+            P.add_point(pt)
+    return model, V, WQ, P, ReducedCache(model, V, WQ, precond=P)

@@ -210,10 +210,10 @@ def test_criterion_06_certified_effectivity(spd_mid, spd_mid_spaces):
             alpha = alpha_min_theta(spd_mid, xi)
             if method == "primal-dual":
                 sol = cache.solve_primal_dual(xi)
-                rec = estimate_primal_dual(spd_mid, xi, cache, sol, alpha)
+                rec = estimate_primal_dual(spd_mid, sol, alpha)
             else:
                 sol = cache.solve_saddle(xi)
-                rec = estimate_saddle(spd_mid, xi, cache, sol, alpha)
+                rec = estimate_saddle(spd_mid, sol, alpha)
             _, s = truth_solve(spd_mid, xi)
             deltas.append(rec.delta)
             errors.append(spd_mid.z_norm(s - sol.s_tilde))
@@ -347,7 +347,7 @@ def test_criterion_11_effectivity_improves_with_m(gen_mid):
             deltas, errors, snorms = [], [], []
             for xi, s in zip(xis, truth):
                 sol = cache.solve(xi, method)
-                rec = estimate_preconditioned(gen_mid, xi, cache, sol, method, P)
+                rec = estimate_preconditioned(gen_mid, sol, P)
                 deltas.append(rec.delta)
                 errors.append(gen_mid.z_norm(s - sol.s_tilde))
                 snorms.append(gen_mid.z_norm(s))

@@ -346,3 +346,68 @@ def test_spd_saddle_estimate_solves_each_term_image_of_T_once(
     # A's term images of T, b's terms and L's transposed terms, once each
     expected = model.A.nterms * p + model.b.nterms + model.L.nterms * model.l
     assert sum(columns) == expected
+
+
+@pytest.mark.parametrize("row", ["1.0,", "1.0,one", "1.0"])
+def test_malformed_xi_file_exits_with_one_line(workspace, tmp_path, capsys, row):
+    # an empty or non-numeric cell, or a short row, names the file and line
+    ws = workspace
+    _, rows = read_csv(ws / "truth.csv")
+    xi_file = tmp_path / "xi.csv"
+    xi_file.write_text("xi1,xi2\n" + ",".join(rows[0][:2]) + "\n" + row + "\n")
+    capsys.readouterr()
+    assert run("eval", "--bundle", ws / "bundle", "--spaces", ws / "spaces",
+               "--method", "primal", "--xi-file", xi_file,
+               "--out", tmp_path / "out.csv") == 1
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0  # single-line diagnostic
+    assert str(xi_file) in err and "line 3" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_eval_refuses_spaces_of_another_size(workspace, tmp_path, capsys):
+    # without a manifest no bundle hash is checked; the basis size still is
+    ws = workspace
+    assert run("generate", "--kind", "diffusion", "--n", "81", "--d", "2",
+               "--l", "5", "--seed", "7", "--out", tmp_path / "bigger") == 0
+    spaces = tmp_path / "spaces"
+    shutil.copytree(ws / "spaces", spaces)
+    (spaces / "manifest.json").unlink()
+    capsys.readouterr()
+    assert run("eval", "--bundle", tmp_path / "bigger", "--spaces", spaces,
+               "--method", "primal", "--xi-file", ws / "truth.csv",
+               "--out", tmp_path / "est.csv") == 1
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0
+    assert "size 64" in err and "re-run gorom offline" in err
+    assert not (tmp_path / "est.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "estimate"])
+def test_online_commands_keep_no_point_blocks(workspace, tmp_path, monkeypatch,
+                                              command):
+    # a solution holds its point's reduced blocks: the commands keep only
+    # s_tilde (and the estimate record), so no point's blocks outlive it
+    import gc
+    import weakref
+
+    from gorom import cli, projectors
+    ws = workspace
+    points = []
+    init = projectors._CachedBlocks.__init__
+    write = cli._write_csv
+
+    def tracked(self, cache, xi):
+        init(self, cache, xi)
+        points.append(weakref.ref(self))
+
+    def checked_write(path, header, rows):
+        gc.collect()
+        assert points and all(ref() is None for ref in points)
+        write(path, header, rows)
+
+    monkeypatch.setattr(projectors._CachedBlocks, "__init__", tracked)
+    monkeypatch.setattr(cli, "_write_csv", checked_write)
+    assert run(command, "--bundle", ws / "bundle", "--spaces", ws / "spaces",
+               "--method", "saddle", "--xi-file", ws / "truth.csv",
+               "--out", tmp_path / "out.csv") == 0

@@ -11,15 +11,19 @@ from gorom import (
     alpha_min_theta,
     dual_truth_solve,
     effectivity_report,
+    estimate_error,
     estimate_preconditioned,
     estimate_primal_dual,
     estimate_saddle,
     make_advection_diffusion_problem,
     make_diffusion_problem,
+    primal_dual_solve,
+    saddle_general_solve,
+    saddle_spd_solve,
     select_output_direction,
     truth_solve,
 )
-from tests.conftest import snapshot_spaces
+from tests.conftest import model_cache, snapshot_spaces
 
 
 def test_min_theta_reference_point(spd_small):
@@ -73,7 +77,7 @@ def test_estimate_requires_alpha(spd_small, spd_spaces):
     xi = spd_small.domain.sample(1, np.random.default_rng(1))[0]
     sol = cache.solve_primal_dual(xi)
     with pytest.raises(UnsupportedModelError):
-        estimate_primal_dual(spd_small, xi, cache, sol, None)
+        estimate_primal_dual(spd_small, sol, None)
 
 
 def test_estimate_zero_when_spaces_exact(spd_small, spd_spaces):
@@ -89,11 +93,10 @@ def test_estimate_zero_when_spaces_exact(spd_small, spd_spaces):
     alpha = alpha_min_theta(spd_small, xi)
     scale_cache = ReducedCache(spd_small, None, None)
     sol0 = scale_cache.solve_primal_dual(xi)
-    scale = estimate_primal_dual(spd_small, xi, scale_cache, sol0, alpha).delta
-    rec = estimate_primal_dual(spd_small, xi, cache,
-                               cache.solve_primal_dual(xi), alpha)
+    scale = estimate_primal_dual(spd_small, sol0, alpha).delta
+    rec = estimate_primal_dual(spd_small, cache.solve_primal_dual(xi), alpha)
     assert rec.delta <= 1e-9 * scale
-    rec_s = estimate_saddle(spd_small, xi, cache, cache.solve_saddle(xi), alpha)
+    rec_s = estimate_saddle(spd_small, cache.solve_saddle(xi), alpha)
     assert rec_s.delta <= 1e-9 * scale
 
 
@@ -105,7 +108,7 @@ def test_estimate_matches_dense_oracle():
     xi = model.domain.sample(1, np.random.default_rng(3))[0]
     sol = cache.solve_primal_dual(xi)
     alpha = alpha_min_theta(model, xi)
-    rec = estimate_primal_dual(model, xi, cache, sol, alpha)
+    rec = estimate_primal_dual(model, sol, alpha)
     # dense oracle, everything assembled explicitly
     A = model.operator_at(xi).toarray()
     R = np.asarray(model.gram_v0.todense())
@@ -129,10 +132,10 @@ def _eta_samples(model, V, WQ, count, seed, saddle=False):
         alpha = alpha_min_theta(model, xi)
         if saddle:
             sol = cache.solve_saddle(xi)
-            rec = estimate_saddle(model, xi, cache, sol, alpha)
+            rec = estimate_saddle(model, sol, alpha)
         else:
             sol = cache.solve_primal_dual(xi)
-            rec = estimate_primal_dual(model, xi, cache, sol, alpha)
+            rec = estimate_primal_dual(model, sol, alpha)
         _, s = truth_solve(model, xi)
         deltas.append(rec.delta)
         errors.append(model.z_norm(s - sol.s_tilde))
@@ -167,8 +170,8 @@ def test_certified_with_exact_alpha(spd_small, spd_spaces):
         ):
             sol = solver(xi)
             err = spd_small.z_norm(s - sol.s_tilde)
-            rec_exact = estimator(spd_small, xi, cache, sol, exact)
-            rec_mt = estimator(spd_small, xi, cache, sol, mtheta)
+            rec_exact = estimator(spd_small, sol, exact)
+            rec_mt = estimator(spd_small, sol, mtheta)
             assert rec_exact.delta >= err * (1 - 1e-9)
             assert rec_mt.delta >= rec_exact.delta * (1 - 1e-12)
 
@@ -198,7 +201,7 @@ def test_preconditioned_primal_factor_at_exact_point(gen_small, gen_spaces):
     P.add_point(xi)
     cache = ReducedCache(gen_small, V, WQ, precond=P)
     sol = cache.solve_primal_dual(xi)
-    rec = estimate_preconditioned(gen_small, xi, cache, sol, "primal-dual", P)
+    rec = estimate_preconditioned(gen_small, sol, P)
     u, _ = truth_solve(gen_small, xi)
     err = gen_small.v0_norm(u - V.columns @ sol.primal_coeffs)
     assert rec.primal_factor == pytest.approx(err, rel=1e-8)
@@ -213,9 +216,102 @@ def test_preconditioned_zero_residual(gen_small, gen_spaces):
     Vx.append(u)
     cache = ReducedCache(gen_small, Vx, WQ)
     sol = cache.solve_primal_dual(xi)
-    rec = estimate_preconditioned(gen_small, xi, cache, sol, "primal-dual", None)
+    rec = estimate_preconditioned(gen_small, sol, None)
     scale = gen_small.v0_dual_norm(gen_small.rhs_at(xi)) * rec.dual_factor
     assert rec.delta <= 1e-9 * scale
+
+
+def test_estimate_error_picks_certified_or_surrogate(spd_small, gen_small,
+                                                    spd_spaces, gen_spaces):
+    def values(rec):
+        return (rec.delta, rec.primal_factor, rec.dual_factor, rec.alpha,
+                rec.method, rec.certified)
+
+    xi = spd_small.domain.sample(1, np.random.default_rng(40))[0]
+    sol = ReducedCache(spd_small, *spd_spaces).solve(xi, "saddle")
+    auto = values(estimate_error(spd_small, sol))
+    assert auto == values(estimate_saddle(spd_small, sol, alpha_min_theta(spd_small, xi)))
+    assert auto == values(estimate_error(spd_small, sol, "min-theta"))
+    assert values(estimate_error(spd_small, sol, "none")) == values(
+        estimate_preconditioned(spd_small, sol))
+    xi = gen_small.domain.sample(1, np.random.default_rng(41))[0]
+    sol = ReducedCache(gen_small, *gen_spaces).solve(xi, "primal-dual")
+    assert not estimate_error(gen_small, sol).certified
+    with pytest.raises(UnsupportedModelError):
+        estimate_error(gen_small, sol, "min-theta")
+    with pytest.raises(ValueError):
+        estimate_error(gen_small, ReducedCache(gen_small, *gen_spaces).solve(xi, "dual"))
+
+
+@pytest.mark.parametrize("which, method", [("spd", "primal-dual"), ("spd", "saddle"),
+                                           ("general", "primal-dual"),
+                                           ("general-precond", "primal-dual")])
+def test_solve_and_estimate_contract_each_group_once(
+        which, method, spd_small, gen_small, spd_spaces, gen_spaces, monkeypatch):
+    # the estimate reads the blocks its solution carries, so no block of the
+    # point is contracted twice (spd: KT is the point's RTT)
+    from collections import Counter
+
+    from gorom.projectors import _Affine
+    model, _, _, P, cache = model_cache(which, spd_small, gen_small,
+                                        spd_spaces, gen_spaces)
+    calls = Counter()
+    original = _Affine.at
+
+    def counting(self, theta):
+        calls[id(self)] += 1
+        return original(self, theta)
+
+    monkeypatch.setattr(_Affine, "at", counting)
+    for xi in model.domain.sample(2, np.random.default_rng(42)):
+        calls.clear()
+        estimate_error(model, cache.solve(xi, method), precond=P)
+        assert calls and max(calls.values()) == 1
+
+
+def test_preconditioned_saddle_estimate_assembles_the_operator_once(
+        gen_small, gen_spaces, monkeypatch):
+    from gorom import FullOrderModel
+    model, _, _, P, cache = model_cache("general-precond", None, gen_small,
+                                        None, gen_spaces)
+    calls = []
+    original = FullOrderModel.operator_at
+    monkeypatch.setattr(FullOrderModel, "operator_at",
+                        lambda self, xi: calls.append(xi) or original(self, xi))
+    for xi in model.domain.sample(3, np.random.default_rng(43)):
+        calls.clear()
+        estimate_error(model, cache.solve(xi, "saddle"), precond=P)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("which", ["spd", "general", "general-precond"])
+def test_estimates_of_direct_solutions_match_cached(which, spd_small, gen_small,
+                                                    spd_spaces, gen_spaces):
+    # every estimator reads the blocks of its solution, whichever provider
+    # computed them: DirectBlocks (from the full-order operator) or the cache
+    from gorom import build_test_space
+    model, V, WQ, P, cache = model_cache(which, spd_small, gen_small,
+                                         spd_spaces, gen_spaces)
+    T = cache._get("T").columns
+    for xi in model.domain.sample(3, np.random.default_rng(44)):
+        W = build_test_space(model, V, P, xi) if P is not None else None
+        pairs = [(cache.solve(xi, "primal-dual"),
+                  primal_dual_solve(model, xi, V, WQ, W=W))]
+        if which == "spd":
+            pairs.append((cache.solve(xi, "saddle"), saddle_spd_solve(model, xi, T)))
+        elif P is None:
+            pairs.append((cache.solve(xi, "saddle"),
+                          saddle_general_solve(model, xi, V, T)))
+        for cached, direct in pairs:
+            certified = (estimate_primal_dual if cached.method == "primal-dual"
+                         else estimate_saddle)
+            for estimator in (lambda sol: certified(model, sol, 0.5),
+                              lambda sol: estimate_preconditioned(model, sol, P)):
+                want, got = estimator(cached), estimator(direct)
+                assert got.method == want.method
+                for field in ("delta", "primal_factor", "dual_factor"):
+                    assert getattr(got, field) == pytest.approx(
+                        getattr(want, field), rel=1e-10), (cached.method, field)
 
 
 def test_select_direction_scalar_output(spd_small):

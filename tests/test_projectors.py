@@ -24,6 +24,7 @@ from gorom import (
     truth_solve,
     union_basis,
 )
+from tests.conftest import model_cache
 
 
 def expand(V, coeffs):
@@ -258,7 +259,7 @@ def test_saddle_residual_identity(gen_small, gen_spaces):
         T = union_basis([V, WQ], gram=gen_small.gram_v0)
         est = saddle_general_solve(gen_small, xi, V, T)
         u_rp = expand(V, est.primal_coeffs)
-        corr = est.aux["X"] @ est.dual_coeffs
+        corr = est.blocks.XT @ est.dual_coeffs
         lhs = gen_small.v0_norm(u - u_rp - corr)
         rhs = gen_small.v0_norm(u - u_rp)
         assert lhs <= rhs * (1 + 1e-12)
@@ -466,28 +467,18 @@ def test_consistency_when_exact_everywhere(spd_small, spd_spaces):
 # cached blocks one by one, coefficient evaluations and the domain guard
 # ---------------------------------------------------------------------------
 
-def _model_cache(which, spd_small, gen_small, spd_spaces, gen_spaces):
-    model = spd_small if which == "spd" else gen_small
-    V, WQ = spd_spaces if which == "spd" else gen_spaces
-    P = None
-    if which == "general-precond":
-        P = InverseInterpolant(model, sketch_size=40, seed=7)
-        for pt in model.domain.sample(2, np.random.default_rng(29)):
-            P.add_point(pt)
-    return model, V, WQ, P, ReducedCache(model, V, WQ, precond=P)
-
-
 @pytest.mark.parametrize("which", ["spd", "general", "general-precond"])
 def test_cache_blocks_match_direct_blocks(which, spd_small, gen_small,
                                           spd_spaces, gen_spaces):
     # block by block, so that a transposed block taken for the direct one on
     # a general model shows even where a route would not read it
     from gorom.projectors import _GROUPS, DirectBlocks
-    model, V, WQ, P, cache = _model_cache(which, spd_small, gen_small,
-                                          spd_spaces, gen_spaces)
+    model, V, WQ, P, cache = model_cache(which, spd_small, gen_small,
+                                         spd_spaces, gen_spaces)
     names = sorted(set(DirectBlocks._RECIPES) & set(_GROUPS))
     assert {"WAV", "Wb", "LV", "KQ", "CQ", "LXQ", "QAQ", "LQ", "QL", "GLL",
-            "KT", "CT", "LXT", "TAT", "TAV", "Tb", "LT", "zL"} <= set(names)
+            "KT", "CT", "LXT", "TAT", "TAV", "Tb", "LT", "zL", "b", "XQ", "XT",
+            "Rbb", "RAA", "RAb", "RTT", "RTb"} <= set(names)
     for xi in model.domain.sample(3, np.random.default_rng(30)):
         W = build_test_space(model, V, P, xi) if P is not None else None
         direct = DirectBlocks(model, xi, V=V, WQ=WQ, W=W, T=cache._get("T").columns)
@@ -505,8 +496,8 @@ def test_cache_point_evaluates_each_coefficient_once(
 
     from gorom import CoefficientFn
     from gorom.projectors import _GROUPS
-    model, V, WQ, P, cache = _model_cache(which, spd_small, gen_small,
-                                          spd_spaces, gen_spaces)
+    model, V, WQ, P, cache = model_cache(which, spd_small, gen_small,
+                                         spd_spaces, gen_spaces)
     names = [n for n in _GROUPS if n != "T" and (n != "Ys" or P is not None)]
     xi0, xi = model.domain.sample(2, np.random.default_rng(31))
     for name in names:  # every group built beforehand, at another point
@@ -541,8 +532,8 @@ def test_cache_point_evaluates_each_coefficient_once(
 def test_cache_refuses_points_outside_the_domain(which, spd_small, gen_small,
                                                  spd_spaces, gen_spaces):
     from gorom import DomainError
-    model, V, WQ, P, cache = _model_cache(which, spd_small, gen_small,
-                                          spd_spaces, gen_spaces)
+    model, V, WQ, P, cache = model_cache(which, spd_small, gen_small,
+                                         spd_spaces, gen_spaces)
     lo, hi = model.domain.lo, model.domain.hi
     for xi in (hi + (hi - lo), np.full(model.d, np.nan)):
         for method in ("primal", "dual", "primal-dual", "saddle"):
