@@ -57,7 +57,7 @@ from .greedy import (
     argmax_delta,
     run_greedy,
 )
-from .model import Factorization, FullOrderModel, dual_norm_sq, factorize
+from .model import Factorization, FullOrderModel, dual_norm_sq
 from .preconditioner import InverseInterpolant
 from .problems import (
     ProblemConfig,

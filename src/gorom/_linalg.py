@@ -23,11 +23,11 @@ def as_columns(X):
     return cols
 
 
-def solve_checked(M, rhs, what, cond_limit=COND_LIMIT):
+def solve_checked(M, rhs, what):
     """LU solve with a reciprocal-condition guard.
 
     Raises :class:`ReducedSolveError` naming ``what`` when the 1-norm
-    condition estimate exceeds ``cond_limit`` (a discrete inf-sup failure).
+    condition estimate exceeds ``COND_LIMIT`` (a discrete inf-sup failure).
     """
     M = np.asarray(M, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -42,7 +42,7 @@ def solve_checked(M, rhs, what, cond_limit=COND_LIMIT):
         raise ReducedSolveError(f"{what}: {exc}", cond=np.inf) from exc
     gecon = la.get_lapack_funcs("gecon", (lu,))
     rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0 or rcond <= 0.0 or 1.0 / rcond > cond_limit:
+    if info != 0 or rcond <= 0.0 or 1.0 / rcond > COND_LIMIT:
         cond = np.inf if rcond <= 0.0 else 1.0 / rcond
         raise ReducedSolveError(
             f"{what}: reduced system is numerically singular "

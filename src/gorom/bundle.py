@@ -110,7 +110,7 @@ def store_bundle(model, path):
         fh.write("\n")
 
 
-def load_bundle(path, validate=True):
+def load_bundle(path):
     """Load a bundle directory into a :class:`FullOrderModel`."""
     directory = Path(path)
     meta_path = directory / "model.json"
@@ -139,7 +139,6 @@ def load_bundle(path, validate=True):
             symmetry=meta["symmetry"],
             xi_ref=meta["xi_ref"],
             coercive_affine=meta.get("coercive_affine", False),
-            validate=validate,
         )
     except KeyError as exc:
         raise BundleFormatError(f"model.json is missing field {exc}") from exc

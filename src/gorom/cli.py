@@ -178,15 +178,8 @@ def cmd_offline(args):
     model = load_bundle(args.bundle)
     with open(args.config) as fh:
         raw = json.load(fh)
-    # preconditioner flags override the config file
     if args.precond:
         raw["precondition"] = True
-    if args.precond_sketch is not None:
-        raw["precond_sketch"] = args.precond_sketch
-    if args.precond_seed is not None:
-        raw["precond_seed"] = args.precond_seed
-    if args.precond_positivity is not None:
-        raw["precond_positivity"] = args.precond_positivity
     cfg = GreedyConfig.from_dict(raw)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -300,7 +293,10 @@ def cmd_stats(args):
         deltas.append(float(er[dcol]))
         errors.append(float(np.linalg.norm(s_true - s_est)))
         snorms.append(float(np.linalg.norm(s_true)))
-    report = effectivity_report(deltas, errors, s_norms=snorms, bins=args.bins)
+    try:
+        report = effectivity_report(deltas, errors, s_norms=snorms, bins=args.bins)
+    except ValueError as exc:
+        raise GoromError(f"{args.est} against {args.truth}: {exc}") from None
     payload = {
         "mean": report.mean,
         "maxmin_ratio": report.maxmin_ratio,
@@ -398,17 +394,8 @@ def build_parser():
     p.add_argument("--bundle", required=True)
     p.add_argument("--config", required=True, help="greedy config JSON")
     p.add_argument("--precond", action="store_true",
-                   help="enable the operator-inverse interpolant")
-    p.add_argument("--precond-sketch", type=int, default=None,
-                   help="sketch width for coefficient fitting (default 400)")
-    p.add_argument("--precond-seed", type=int, default=None,
-                   help="seed of the Gaussian sketch (default 13)")
-    p.add_argument("--precond-positivity", dest="precond_positivity",
-                   action="store_const", const=True, default=None,
-                   help="constrain interpolation weights to be nonnegative")
-    p.add_argument("--no-precond-positivity", dest="precond_positivity",
-                   action="store_const", const=False,
-                   help="allow signed interpolation weights")
+                   help="enable the operator-inverse interpolant "
+                        "(config key precondition)")
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads for the estimate sweep (default: serial)")
     p.add_argument("--out", required=True)

@@ -11,6 +11,11 @@ eigenproblems after projecting onto the given bases:
 * ``infsup_alpha``: the discrete inf-sup constant under the
   residual-induced test norm, tied to delta by alpha^2 + delta^2 = 1.
 
+The reduced blocks at the point (A^T S, its Riesz representers, the
+Grams over S and V, and the output map) are read from one
+:class:`~gorom.projectors.DirectBlocks` with S as its dual space, so A(xi)
+is assembled once per point and each Riesz representer is solved once.
+
 Each delta is evaluated from explicit residual vectors (the Gram of
 ``v - P v`` against the V-Gram), not from ``1 - lambda_min`` of the
 projected pencil: the residual form stays accurate down to machine scale
@@ -27,10 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 
-from ._linalg import COND_LIMIT, as_columns, clip_unit, eig_extreme
+from ._linalg import COND_LIMIT, clip_unit, eig_extreme
+from .estimators import _dual_sup
 from .exceptions import DegenerateTestSpaceError
+from .model import Factorization
+from .projectors import DirectBlocks
 
 __all__ = ["ConstantsReport", "delta_VW", "delta_L", "infsup_alpha",
            "compute_constants"]
@@ -63,38 +70,49 @@ def _spd_chol(M, what):
         f"{what}: test space degenerate under the adjoint operator ({reason})")
 
 
-def _delta_alpha(model, xi, V, S, gram):
-    Vc = as_columns(V)
-    Sc = as_columns(S)
-    r, m = Vc.shape[1], Sc.shape[1]
-    if r == 0:
+def _energy(model, gram):
+    """Whether the state norm is the energy norm of A(xi), which is R_V."""
+    return gram == "model" and model.symmetry == "spd"
+
+
+def _delta_alpha(d, energy):
+    """(delta_VW, alpha) of V = d.Vc with test space S = d.Qc."""
+    if d.r == 0:
         return 0.0, 1.0
-    if m == 0:
+    if d.k == 0:
         return 1.0, 0.0
-    A = model.operator_at(xi)
-    AV = np.asarray(A @ Vc)
-    B = Sc.T @ AV
-    energy = gram == "model" and model.symmetry == "spd"
+    B = d.QAV
     if energy:
         # R_V = A(xi): the supremizer map R_V^{-1} A^T S is S itself
-        Z = Sc
-        H = Sc.T @ np.asarray(A @ Sc)
-        G_V = Vc.T @ AV
+        Z, H, G_V = d.Qc, d.QAQ, d.WAV
     else:
-        AtS = np.asarray(A.T @ Sc)
-        Z = model.riesz_v0(AtS)
-        H = AtS.T @ Z
-        G_V = Vc.T @ (model.gram_v0 @ Vc)
+        Z, H, G_V = d.XQ, d.KQ, d.Vc.T @ (d.model.gram_v0 @ d.Vc)
     cho = _spd_chol(H, "delta_VW")
     X = la.cho_solve(cho, B, check_finite=False)
-    resid = Vc - Z @ X
-    Gresid = np.asarray(A @ resid) if energy else model.gram_v0 @ resid
+    resid = d.Vc - Z @ X
+    Gresid = np.asarray(d.A @ resid) if energy else d.model.gram_v0 @ resid
     D = resid.T @ Gresid
     lam_d, _, _ = eig_extreme(D, G_V, largest=True)
     delta = np.sqrt(clip_unit(float(lam_d)))
     lam_a, _, _ = eig_extreme(B.T @ X, G_V, largest=False)
     alpha = np.sqrt(clip_unit(float(lam_a)))
     return float(delta), float(alpha)
+
+
+def _delta_l(d, energy):
+    """delta_L of the test space S = d.Qc."""
+    Lt = d.Ld.T
+    if d.k:
+        K, C = (d.QAQ, d.QL) if energy else (d.KQ, d.AtQ.T @ d.zL)
+        cho = _spd_chol(K, "delta_L")
+        Dres = Lt - d.AtQ @ la.cho_solve(cho, C, check_finite=False)
+    else:
+        Dres = Lt
+    if energy:
+        G = Dres.T @ Factorization(d.A, spd=True).solve(Dres)
+    else:
+        G = Dres.T @ d.model.riesz_v0(Dres)
+    return _dual_sup(d.model, G)
 
 
 def delta_VW(model, xi, V, S, gram="model"):
@@ -105,13 +123,13 @@ def delta_VW(model, xi, V, S, gram="model"):
     over a basis of V.  ``gram`` switches between the model norm ("model",
     the energy norm for spd models) and the fixed R_V0 ("v0").
     """
-    return _delta_alpha(model, xi, V, S, gram)[0]
+    return _delta_alpha(DirectBlocks(model, xi, V=V, WQ=S), _energy(model, gram))[0]
 
 
 def infsup_alpha(model, xi, V, S, gram="model"):
     """Discrete inf-sup constant under the residual-induced test norm,
     sqrt(lambda_min(B^T H^{-1} B, G_V)); satisfies alpha^2 + delta^2 = 1."""
-    return _delta_alpha(model, xi, V, S, gram)[1]
+    return _delta_alpha(DirectBlocks(model, xi, V=V, WQ=S), _energy(model, gram))[1]
 
 
 def delta_L(model, xi, S, gram="model"):
@@ -121,38 +139,15 @@ def delta_L(model, xi, S, gram="model"):
     Evaluated as the largest eigenvalue, against the output dual Gram, of
     the Gram of the explicit dual residual columns L^T - A^T S K^{-1} C.
     """
-    Sc = as_columns(S)
-    m = Sc.shape[1]
-    A = model.operator_at(xi)
-    Lt = model.output_at(xi)
-    Lt = (Lt.toarray() if sp.issparse(Lt) else np.asarray(Lt)).T
-    energy = gram == "model" and model.symmetry == "spd"
-    if m:
-        AtS = np.asarray(A.T @ Sc)
-        if energy:
-            K = Sc.T @ np.asarray(A @ Sc)
-            C = Sc.T @ Lt
-        else:
-            K = AtS.T @ model.riesz_v0(AtS)
-            C = AtS.T @ model.riesz_v0(Lt)
-        cho = _spd_chol(K, "delta_L")
-        Dres = Lt - AtS @ la.cho_solve(cho, C, check_finite=False)
-    else:
-        Dres = Lt
-    if energy:
-        fact = model.factorize_operator(xi)
-        G = Dres.T @ fact.solve(Dres)
-    else:
-        G = Dres.T @ model.riesz_v0(Dres)
-    lam, _, _ = eig_extreme(G, la.inv(model.gram_z), largest=True)
-    return float(np.sqrt(max(float(lam), 0.0)))
+    return _delta_l(DirectBlocks(model, xi, WQ=S), _energy(model, gram))
 
 
 def compute_constants(model, xi, V, S, gram="model"):
-    delta, alpha = _delta_alpha(model, xi, V, S, gram)
+    d, energy = DirectBlocks(model, xi, V=V, WQ=S), _energy(model, gram)
+    delta, alpha = _delta_alpha(d, energy)
     return ConstantsReport(
         xi=np.asarray(xi, dtype=float),
         delta_vw=delta,
-        delta_l=delta_L(model, xi, S, gram=gram),
+        delta_l=_delta_l(d, energy),
         alpha=alpha,
     )

@@ -231,7 +231,8 @@ def effectivity_report(deltas, errors, s_norms=None, bins=20):
     keep &= np.isfinite(eta) & (eta > 0.0)
     eta = eta[keep]
     if eta.size == 0:
-        raise ValueError("no usable effectivity samples after exclusions")
+        raise ValueError("no usable effectivity samples: each pair has an error below "
+                         "1e-14 of the output norm or a non-positive estimate")
     counts, edges = np.histogram(eta, bins=bins)
     mean = float(np.mean(eta))
     return EffectivityReport(

@@ -200,7 +200,7 @@ def run_greedy(model, cfg, threads=None):
     nfact = 0
 
     for i in range(1, cfg.max_iter + 1):
-        cache = ReducedCache(model, V, WQ, precond=precond, tol_rank=cfg.tol_rank)
+        cache = ReducedCache(model, V, WQ, precond=precond)
         try:
             deltas = [rec.delta for rec in map_points(
                 lambda xi: estimate_error(model, cache.solve(xi, cfg.method),

@@ -17,7 +17,7 @@ from ._linalg import dense
 from .affine import AffineForm, assemble
 from .exceptions import FactorizationError
 
-__all__ = ["Factorization", "factorize", "dual_norm_sq", "FullOrderModel"]
+__all__ = ["Factorization", "dual_norm_sq", "FullOrderModel"]
 
 
 def _fro_norm(M):
@@ -77,11 +77,6 @@ class Factorization:
                    for F in (self._lu.L, self._lu.U))
 
 
-def factorize(M, spd=False):
-    """Factorize a (sparse or dense) square matrix; raises on failure."""
-    return Factorization(M, spd=spd)
-
-
 def dual_norm_sq(r, gram):
     """Squared dual norm ``r^T G^{-1} r`` of a dual vector w.r.t. an SPD Gram.
 
@@ -90,7 +85,7 @@ def dual_norm_sq(r, gram):
     roundoff; it vanishes iff ``r`` does.
     """
     r = np.asarray(r, dtype=float)
-    factor = gram if isinstance(gram, Factorization) else factorize(gram, spd=True)
+    factor = gram if isinstance(gram, Factorization) else Factorization(gram, spd=True)
     val = float(r @ factor.solve(r))
     return max(val, 0.0)
 
@@ -168,11 +163,11 @@ class FullOrderModel:
     def _validate(self):
         # SPD checks by attempted factorization; the factors are kept
         try:
-            self._v0_factor = factorize(self.gram_v0, spd=True)
+            self._v0_factor = Factorization(self.gram_v0, spd=True)
         except FactorizationError as exc:
             raise FactorizationError(f"gram_v0 is not SPD: {exc}") from exc
         try:
-            self._z_factor = factorize(self.gram_z, spd=True)
+            self._z_factor = Factorization(self.gram_z, spd=True)
         except FactorizationError as exc:
             raise FactorizationError(f"gram_z is not SPD: {exc}") from exc
         # per operator term: the reduced cache reads A_k^T X as A_k X
@@ -195,20 +190,20 @@ class FullOrderModel:
 
     def factorize_operator(self, xi):
         """Factorize A(xi); this is the offline cost unit."""
-        return factorize(self.operator_at(xi), spd=(self.symmetry == "spd"))
+        return Factorization(self.operator_at(xi), spd=(self.symmetry == "spd"))
 
     # -- Gram / Riesz machinery ----------------------------------------
 
     @property
     def v0_factor(self):
         if self._v0_factor is None:
-            self._v0_factor = factorize(self.gram_v0, spd=True)
+            self._v0_factor = Factorization(self.gram_v0, spd=True)
         return self._v0_factor
 
     @property
     def z_factor(self):
         if self._z_factor is None:
-            self._z_factor = factorize(self.gram_z, spd=True)
+            self._z_factor = Factorization(self.gram_z, spd=True)
         return self._z_factor
 
     @property

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._linalg import dense
 from .affine import AffineForm, CoefficientFn, ParameterDomain
 from .exceptions import SolverError
 from .model import FullOrderModel
@@ -302,8 +303,7 @@ def dual_truth_solve(model, xi, factorization=None):
     """Full-order dual solve A(xi)^T Q = L(xi)^T; returns Q of shape (n, l),
     refined like :func:`truth_solve`."""
     A = model.operator_at(xi)
-    Lxi = model.output_at(xi)
-    Lt = (Lxi.toarray() if sp.issparse(Lxi) else np.asarray(Lxi)).T
+    Lt = dense(model.output_at(xi)).T
     fact = factorization if factorization is not None else model.factorize_operator(xi)
     Q = fact.solve(Lt, transpose=True)
     R = Lt - A.T @ Q

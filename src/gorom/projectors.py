@@ -42,7 +42,7 @@ import scipy.linalg as la
 from ._linalg import as_columns, clip_nonneg, dense, solve_checked, solve_spd_min
 from .exceptions import ReducedSolveError
 from .problems import truth_solve
-from .spaces import union_basis
+from .spaces import DEFAULT_TOL_RANK, Basis, union_basis
 
 __all__ = [
     "OutputEstimate",
@@ -549,18 +549,24 @@ class ReducedCache:
         Drives the parameter-dependent test space of general models; ignored
         as a test space for spd models (Galerkin is optimal there).
 
+    T = V + WQ drops directions with the rank tolerance of the bases that
+    span it (the larger one if V and WQ differ), so it is the T that a
+    greedy run with those bases builds; plain arrays count as
+    ``DEFAULT_TOL_RANK``.
+
     Each block group is built on its first use, under a per-cache lock, so a
     route builds only what it reads and pool threads can share one cache.
     The spaces are fixed; build a new cache after every enrichment.
     """
 
-    def __init__(self, model, V=None, WQ=None, precond=None, tol_rank=1e-10):
+    def __init__(self, model, V=None, WQ=None, precond=None):
         self.model = model
         n = model.n
         self.Vc = as_columns(V) if V is not None else np.zeros((n, 0))
         self.WQc = as_columns(WQ) if WQ is not None else np.zeros((n, 0))
         self.precond = precond
-        self.tol_rank = float(tol_rank)
+        self.tol_rank = max([X.tol_rank for X in (V, WQ) if isinstance(X, Basis)],
+                            default=DEFAULT_TOL_RANK)
         self.r, self.k = self.Vc.shape[1], self.WQc.shape[1]
         self._spd = model.symmetry == "spd"
         # a general model with interpolation points gets the test space

@@ -91,7 +91,7 @@ class Basis:
 
     # -- persistence -----------------------------------------------------
 
-    def save(self, path, gram_id="R_V0"):
+    def save(self, path):
         """Write columns as a MatrixMarket array plus a JSON manifest."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -101,7 +101,7 @@ class Basis:
             "name": self.name,
             "n": int(self.n),
             "dim": int(self.dim),
-            "gram": gram_id,
+            "gram": "R_V0",
             "tol_rank": self.tol_rank,
         }
         with open(path.with_suffix(".json"), "w") as fh:
@@ -128,8 +128,8 @@ class Basis:
         return f"Basis(name={self.name!r}, n={self.n}, dim={self.dim})"
 
 
-def union_basis(parts, gram=None, tol_rank=DEFAULT_TOL_RANK, name=""):
-    """Orthonormal basis of the sum of spaces.
+def union_basis(parts, gram, tol_rank=DEFAULT_TOL_RANK, name=""):
+    """``gram``-orthonormal basis of the sum of spaces.
 
     ``parts`` is a sequence of Basis instances or column matrices; columns
     are appended in the given order with deflation of dependent directions.
@@ -137,13 +137,6 @@ def union_basis(parts, gram=None, tol_rank=DEFAULT_TOL_RANK, name=""):
     parts = [p for p in parts if p is not None]
     if not parts:
         raise ValueError("union_basis needs at least one part")
-    if gram is None:
-        for p in parts:
-            if isinstance(p, Basis):
-                gram = p.gram
-                break
-    if gram is None:
-        raise ValueError("union_basis needs a Gram matrix")
     first = parts[0]
     n = first.n if isinstance(first, Basis) else np.asarray(first).shape[0]
     out = Basis(gram, n, tol_rank, name=name)

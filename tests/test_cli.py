@@ -129,10 +129,11 @@ def test_eval_dual_on_precond_spaces_factorizes_nothing(tmp_path, monkeypatch):
     assert run("generate", "--kind", "advection-diffusion", "--n", "49", "--d", "3",
                "--l", "2", "--seed", "5", "--out", tmp_path / "bundle") == 0
     cfg = {"max_iter": 3, "enrichment": "partial", "schedule": "simultaneous",
-           "method": "saddle", "train_count": 15, "train_seed": 4}
+           "method": "saddle", "train_count": 15, "train_seed": 4,
+           "precond_sketch": 30}
     (tmp_path / "greedy.json").write_text(json.dumps(cfg))
     assert run("offline", "--bundle", tmp_path / "bundle", "--config",
-               tmp_path / "greedy.json", "--precond", "--precond-sketch", "30",
+               tmp_path / "greedy.json", "--precond",
                "--out", tmp_path / "spaces") == 0
     assert run("truth", "--bundle", tmp_path / "bundle", "--sample-count", "4",
                "--sample-seed", "2", "--out", tmp_path / "truth.csv") == 0
@@ -223,6 +224,22 @@ def test_cli_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.strip().count("\n") == 0  # single-line diagnostic
     assert "model.json" in err
+
+
+def test_stats_without_usable_errors_exits_with_one_line(workspace, tmp_path, capsys):
+    # spaces that reach rounding level leave no error above 1e-14 of |s|
+    ws = workspace
+    header, rows = read_csv(ws / "truth.csv")
+    est = tmp_path / "delta.csv"
+    est.write_text("".join(",".join(r) + "\n" for r in
+                           [["delta"] + header] + [["1.0"] + row for row in rows]))
+    capsys.readouterr()
+    assert run("stats", "--est", est, "--truth", ws / "truth.csv",
+               "--out", tmp_path / "report.json") == 1
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0  # single-line diagnostic
+    assert "no usable effectivity samples" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_eval_refuses_spaces_of_another_bundle(workspace, tmp_path, capsys):

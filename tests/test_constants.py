@@ -173,3 +173,28 @@ def test_degenerate_test_space_raises():
     S[:, 1] = S[:, 0]  # rank deficient
     with pytest.raises(DegenerateTestSpaceError):
         delta_VW(model, XI, V, S)
+
+
+@pytest.mark.parametrize("gram", ["model", "v0"])
+@pytest.mark.parametrize("which", ["spd", "general"])
+def test_compute_constants_assembles_the_operator_once(
+        which, gram, spd_small, gen_small, spd_spaces, gen_spaces, monkeypatch):
+    # one set of reduced blocks per point: A(xi) is assembled once, never
+    # factorized through the model, and each Riesz representer (A^T S, L^T
+    # and the dual residual) is solved once in the R_V0 norm
+    model, (V, WQ) = ((spd_small, spd_spaces) if which == "spd"
+                      else (gen_small, gen_spaces))
+    xi = model.domain.sample(1, np.random.default_rng(12))[0]
+    calls = {"operator_at": 0, "riesz_v0": 0, "factorize_operator": 0}
+    for name in calls:
+        original = getattr(FullOrderModel, name)
+
+        def counting(self, x, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, x)
+
+        monkeypatch.setattr(FullOrderModel, name, counting)
+    compute_constants(model, xi, V, WQ, gram=gram)
+    energy = gram == "model" and which == "spd"
+    assert calls == {"operator_at": 1, "riesz_v0": 0 if energy else 3,
+                     "factorize_operator": 0}

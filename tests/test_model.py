@@ -6,11 +6,11 @@ import scipy.sparse as sp
 from gorom import (
     AffineForm,
     CoefficientFn,
+    Factorization,
     FactorizationError,
     FullOrderModel,
     ParameterDomain,
     dual_norm_sq,
-    factorize,
 )
 
 
@@ -50,15 +50,15 @@ def test_riesz_identity_property():
 
 def test_factorize_rejects_non_spd():
     with pytest.raises(FactorizationError):
-        factorize(-np.eye(3), spd=True)
+        Factorization(-np.eye(3), spd=True)
     with pytest.raises(FactorizationError):
-        factorize(np.zeros((3, 3)))
+        Factorization(np.zeros((3, 3)))
 
 
 def test_factorization_transpose_solve():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((7, 7)) + 7 * np.eye(7)
-    f = factorize(A)
+    f = Factorization(A)
     b = rng.standard_normal(7)
     np.testing.assert_allclose(A @ f.solve(b), b, atol=1e-10)
     np.testing.assert_allclose(A.T @ f.solve(b, transpose=True), b, atol=1e-10)
@@ -69,8 +69,8 @@ def test_spd_factorization_refuses_indefinite_positive_diagonal():
     M = sp.identity(6, format="lil")
     M[2:4, 2:4] = [[1.0, 2.0], [2.0, 1.0]]
     with pytest.raises(FactorizationError):
-        factorize(M.tocsr(), spd=True)
-    factorize(M.tocsr())  # invertible, so the general LU accepts it
+        Factorization(M.tocsr(), spd=True)
+    Factorization(M.tocsr())  # invertible, so the general LU accepts it
 
 
 def test_sparse_transpose_solve_nonsymmetric():
@@ -80,7 +80,7 @@ def test_sparse_transpose_solve_nonsymmetric():
     A[0, n - 1] = 3.0  # make sure A != A^T
     A = A.tocsr()
     assert abs(A - A.T).max() > 0.0
-    f = factorize(A)
+    f = Factorization(A)
     B = rng.standard_normal((n, 3))
     np.testing.assert_allclose(A @ f.solve(B), B, atol=1e-12)
     np.testing.assert_allclose(A.T @ f.solve(B, transpose=True), B, atol=1e-12)
@@ -104,7 +104,7 @@ def test_shared_factorization_threads_match_serial(spd):
     A = sp.kron(T, sp.eye(30)) + sp.kron(sp.eye(30), T)
     if not spd:
         A = A + sp.diags([0.5], [1], shape=A.shape)
-    f = factorize(A, spd=spd)
+    f = Factorization(A, spd=spd)
     rng = np.random.default_rng(9)
     rhs = [rng.standard_normal((900, 5)) for _ in range(32)]
     serial = [f.solve(B, transpose=bool(i % 2)) for i, B in enumerate(rhs)]
@@ -143,13 +143,13 @@ def test_model_rejects_asymmetric_spd_flag():
 def test_validation_factors_are_kept(monkeypatch):
     import gorom.model
     made = []
-    original = gorom.model.factorize
+    original = gorom.model.Factorization.__init__
 
-    def counting(M, spd=False):
+    def counting(self, M, spd=False):
         made.append(M.shape)
-        return original(M, spd=spd)
+        original(self, M, spd=spd)
 
-    monkeypatch.setattr(gorom.model, "factorize", counting)
+    monkeypatch.setattr(gorom.model.Factorization, "__init__", counting)
     model = _tiny_model()
     assert made == [(6, 6), (2, 2)]  # R_V0 and R_Z, checked once each
     model.riesz_v0(np.ones(6))

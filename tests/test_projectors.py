@@ -541,3 +541,20 @@ def test_cache_refuses_points_outside_the_domain(which, spd_small, gen_small,
                 cache.solve(xi, method)
         with pytest.raises(DomainError):
             cache.primal_residual_norm(xi, np.ones(cache.r))
+
+
+def test_cache_takes_the_rank_tolerance_of_its_bases(spd_small, spd_spaces):
+    # T = V + WQ drops the directions that union_basis drops at the bases'
+    # own tolerance, as in a greedy run that built these bases
+    model = spd_small
+    V0, WQ0 = spd_spaces
+    V = Basis(model.gram_v0, model.n, tol_rank=1e-6, name="V")
+    V.extend(V0.columns[:, :2])
+    WQ = Basis(model.gram_v0, model.n, tol_rank=1e-6, name="WQ")
+    WQ.append(WQ0.columns[:, 0])
+    assert WQ.append(V.columns[:, 0] + 1e-8 * WQ0.columns[:, 1])
+    expected = union_basis([V, WQ], gram=model.gram_v0, tol_rank=1e-6).dim
+    assert expected == 3
+    assert ReducedCache(model, V, WQ).p == expected
+    # plain arrays take the default tolerance, which keeps the 1e-8 direction
+    assert ReducedCache(model, V.columns, WQ.columns).p == 4
