@@ -23,48 +23,74 @@ def as_columns(X):
     return cols
 
 
-def solve_checked(M, rhs, what):
-    """LU solve with a reciprocal-condition guard.
+class CheckedLU:
+    """LU factors of a square matrix with a reciprocal-condition guard.
 
     Raises :class:`ReducedSolveError` naming ``what`` when the 1-norm
     condition estimate exceeds ``COND_LIMIT`` (a discrete inf-sup failure).
     """
-    M = np.asarray(M, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if M.shape[0] == 0:
-        return np.zeros((0,) + rhs.shape[1:])
-    anorm = np.linalg.norm(M, 1)
-    if anorm == 0.0 or not np.isfinite(anorm):
-        raise ReducedSolveError(f"{what}: zero or non-finite matrix", cond=np.inf)
-    try:
-        lu, piv = la.lu_factor(M, check_finite=False)
-    except la.LinAlgError as exc:
-        raise ReducedSolveError(f"{what}: {exc}", cond=np.inf) from exc
-    gecon = la.get_lapack_funcs("gecon", (lu,))
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0 or rcond <= 0.0 or 1.0 / rcond > COND_LIMIT:
-        cond = np.inf if rcond <= 0.0 else 1.0 / rcond
-        raise ReducedSolveError(
-            f"{what}: reduced system is numerically singular "
-            f"(condition estimate {cond:.2e})",
-            cond=cond,
-        )
-    return la.lu_solve((lu, piv), rhs, check_finite=False)
+
+    def __init__(self, M, what):
+        M = np.asarray(M, dtype=float)
+        self.n = M.shape[0]
+        if self.n == 0:
+            return
+        anorm = np.linalg.norm(M, 1)
+        if anorm == 0.0 or not np.isfinite(anorm):
+            raise ReducedSolveError(f"{what}: zero or non-finite matrix", cond=np.inf)
+        try:
+            self.factors = la.lu_factor(M, check_finite=False)
+        except la.LinAlgError as exc:
+            raise ReducedSolveError(f"{what}: {exc}", cond=np.inf) from exc
+        lu = self.factors[0]
+        gecon = la.get_lapack_funcs("gecon", (lu,))
+        rcond, info = gecon(lu, anorm, norm="1")
+        if info != 0 or rcond <= 0.0 or 1.0 / rcond > COND_LIMIT:
+            cond = np.inf if rcond <= 0.0 else 1.0 / rcond
+            raise ReducedSolveError(
+                f"{what}: reduced system is numerically singular "
+                f"(condition estimate {cond:.2e})",
+                cond=cond,
+            )
+
+    def solve(self, rhs):
+        rhs = np.asarray(rhs, dtype=float)
+        if self.n == 0:
+            return np.zeros((0,) + rhs.shape[1:])
+        return la.lu_solve(self.factors, rhs, check_finite=False)
 
 
-def solve_spd_min(M, rhs):
-    """Solve the normal equations of a quadratic minimization.
+def solve_checked(M, rhs, what):
+    """Solve M x = rhs through a :class:`CheckedLU` of M."""
+    return CheckedLU(M, what).solve(rhs)
 
-    M is symmetric positive semidefinite by construction; falls back to a
-    least-squares solution when Cholesky fails on a deflated matrix.
+
+class SpdFactor:
+    """Cholesky factors of a symmetric positive (semi)definite matrix.
+
+    Where Cholesky fails, ``what=None`` keeps M and solves by least squares
+    (the deflated normal equations of a quadratic minimization); a named
+    ``what`` raises :class:`ReducedSolveError` instead.
     """
-    M = np.asarray(M, dtype=float)
-    if M.shape[0] == 0:
-        return np.zeros((0,) + np.shape(rhs)[1:])
-    try:
-        return la.cho_solve(la.cho_factor(M, check_finite=False), rhs)
-    except la.LinAlgError:
-        sol, *_ = la.lstsq(M, rhs, check_finite=False)
+
+    def __init__(self, M, what=None):
+        M = np.asarray(M, dtype=float)
+        self.n, self.cho, self.M = M.shape[0], None, M
+        if self.n == 0:
+            return
+        try:
+            self.cho = la.cho_factor(M, check_finite=False)
+        except la.LinAlgError as exc:
+            if what is not None:
+                raise ReducedSolveError(
+                    f"{what} is not SPD ({exc}); model misuse?") from exc
+
+    def solve(self, rhs):
+        if self.n == 0:
+            return np.zeros((0,) + np.shape(rhs)[1:])
+        if self.cho is not None:
+            return la.cho_solve(self.cho, rhs)
+        sol, *_ = la.lstsq(self.M, rhs, check_finite=False)
         return sol
 
 

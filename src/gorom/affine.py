@@ -187,6 +187,15 @@ class AffineForm:
             normalized.append((coeff, term))
         self.terms = tuple(normalized)
         self.shape = shape
+        # all coefficients as arrays: c_k and, for monomials, the exponent rows
+        # (a constant's row is zero, and xi^0 = 1 leaves c_k exact)
+        self._c = np.array([coeff.c for coeff, _ in self.terms])
+        rows = [coeff.exponents for coeff, _ in self.terms if coeff.kind == "monomial"]
+        self._exponents = None
+        if rows:
+            self._exponents = np.array([
+                np.zeros(len(rows[0]), dtype=int) if coeff.kind == "constant"
+                else coeff.exponents for coeff, _ in self.terms])
 
     @property
     def nterms(self):
@@ -194,7 +203,10 @@ class AffineForm:
 
     def coefficients_at(self, xi):
         """Evaluate all theta_k(xi), returned as a float array."""
-        return np.array([coeff(xi) for coeff, _ in self.terms])
+        if self._exponents is None:
+            return self._c.copy()
+        xi = np.asarray(xi, dtype=float)
+        return self._c * np.prod(xi ** self._exponents, axis=1)
 
     def __call__(self, xi):
         thetas = self.coefficients_at(xi)

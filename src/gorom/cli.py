@@ -279,6 +279,9 @@ def cmd_stats(args):
             return header, list(reader)
 
     est_header, est_rows = load(args.est)
+    if "delta" not in est_header:
+        raise GoromError(f"{args.est} has no delta column; give the output of "
+                         "gorom estimate")
     truth_header, truth_rows = load(args.truth)
     if len(est_rows) != len(truth_rows):
         raise GoromError("estimate and truth files have different sample counts")

@@ -19,7 +19,6 @@ block the solve contracted is contracted again.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from ._linalg import eig_extreme
 from .exceptions import UnsupportedModelError
@@ -70,6 +69,11 @@ def alpha_min_theta(model, xi):
     Valid when the model declares ``coercive_affine`` (positive operator
     coefficients, SPSD terms) and R_V0 equals A(xi_ref); both are checked.
     """
+    return _min_theta(model, model.A.coefficients_at(xi))
+
+
+def _min_theta(model, t_xi):
+    """:func:`alpha_min_theta` from the operator coefficients ``t_xi`` at xi."""
     if not model.coercive_affine:
         raise UnsupportedModelError(
             "min-theta needs a coercive-affine model; supply alpha "
@@ -81,8 +85,7 @@ def alpha_min_theta(model, xi):
             "min-theta needs gram_v0 = A(xi_ref); this model deviates by "
             f"{deviation:.2e} relative"
         )
-    t_xi = model.A.coefficients_at(xi)
-    t_ref = model.A.coefficients_at(model.xi_ref)
+    t_ref = model.theta_ref
     if np.any(t_ref <= 0.0) or np.any(t_xi <= 0.0):
         raise UnsupportedModelError("min-theta needs positive coefficients")
     return float(np.min(t_xi / t_ref))
@@ -90,7 +93,7 @@ def alpha_min_theta(model, xi):
 
 def _dual_sup(model, matrix):
     """sqrt of the largest eigenvalue of an output-space Gram against R_Z'."""
-    lam, _, _ = eig_extreme(matrix, la.inv(model.gram_z), largest=True)
+    lam, _, _ = eig_extreme(matrix, model.gram_z_inv, largest=True)
     return float(np.sqrt(max(float(lam), 0.0)))
 
 
@@ -173,7 +176,8 @@ def estimate_error(model, sol, alpha="auto", precond=None):
     certified = {"primal-dual": estimate_primal_dual, "saddle": estimate_saddle}
     if sol.method not in certified:
         raise ValueError(f"no estimate for method {sol.method!r}")
-    return certified[sol.method](model, sol, alpha_min_theta(model, sol.blocks.xi))
+    # the solve evaluated theta_A at the point already
+    return certified[sol.method](model, sol, _min_theta(model, sol.blocks["A"]))
 
 
 def select_output_direction(model, xi, dual_space, method="saddle"):
@@ -190,7 +194,7 @@ def select_output_direction(model, xi, dual_space, method="saddle"):
               else DirectBlocks(model, xi, WQ=dual_space))
     M = blocks.pd_dual_matrix() if method == "primal-dual" \
         else blocks.dual_schur("WQ")
-    _, _, (w, vecs) = eig_extreme(M, la.inv(model.gram_z), largest=True)
+    _, _, (w, vecs) = eig_extreme(M, model.gram_z_inv, largest=True)
     lam_max = w[-1]
     tol = max(1e-10 * abs(lam_max), 1e-300)
     candidates = [vecs[:, i] for i in range(len(w)) if w[i] >= lam_max - tol]

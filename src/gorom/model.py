@@ -10,6 +10,7 @@ induced by A(xi); for ``general`` models it is the fixed R_V0 norm.
 """
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -143,6 +144,8 @@ class FullOrderModel:
         self._v0_factor = None
         self._z_factor = None
         self._v0_ref_deviation = None
+        self._gram_z_inv = None
+        self._theta_ref = None
         if validate:
             self._validate()
 
@@ -215,6 +218,20 @@ class FullOrderModel:
             num, den = _fro_norm(diff), _fro_norm(Aref)
             self._v0_ref_deviation = float(num / max(den, np.finfo(float).tiny))
         return self._v0_ref_deviation
+
+    @property
+    def gram_z_inv(self):
+        """R_Z^{-1} as a dense l x l array, computed once."""
+        if self._gram_z_inv is None:
+            self._gram_z_inv = la.inv(self.gram_z)
+        return self._gram_z_inv
+
+    @property
+    def theta_ref(self):
+        """The operator coefficients theta_A(xi_ref), computed once."""
+        if self._theta_ref is None:
+            self._theta_ref = self.A.coefficients_at(self.xi_ref)
+        return self._theta_ref
 
     def riesz_v0(self, X):
         """Apply R_V0^{-1} to a dual vector or a matrix of dual columns."""

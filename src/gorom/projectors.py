@@ -23,9 +23,14 @@ blocks on first read:
   is the oracle the cache is tested against.
 * :class:`ReducedCache` stacks each block over the affine terms it depends
   on and contracts the stack with the coefficients theta(xi), evaluated once
-  per point, so that online assembly is polynomial in the reduced dimensions.
-  Each block is built on its first use, so a route builds only the blocks it
-  reads, and on spd models a transposed block is the direct one.
+  per point, in one matrix-vector product, so that online assembly is
+  polynomial in the reduced dimensions.  A Gram block F^T R_V0^{-1} F keeps
+  only the term pairs i <= j of its stack.  Each block is built on its first
+  use, so a route builds only the blocks it reads, and on spd models a
+  transposed block is the direct one.
+
+A point's blocks also keep the factors of their reduced matrices, so each
+matrix is factored once per point whichever route or estimate solves with it.
 
 A route returns an :class:`OutputEstimate` that holds the blocks it read;
 the estimators of :mod:`gorom.estimators` take residual norms, Schur
@@ -37,9 +42,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
-from ._linalg import as_columns, clip_nonneg, dense, solve_checked, solve_spd_min
+from ._linalg import CheckedLU, SpdFactor, as_columns, clip_nonneg, dense, solve_checked
 from .exceptions import ReducedSolveError
 from .problems import truth_solve
 from .spaces import DEFAULT_TOL_RANK, Basis, union_basis
@@ -96,13 +100,24 @@ class _Blocks:
     * full order: ``A``, ``b`` and ``XT`` = R^{-1} A^T T, which the general
       saddle point and its residual read.
 
-    Subclasses also set ``spd``, ``l``, ``xi``, the columns ``Vc`` and ``Tc``
-    of V and T, and the dimensions ``r``, ``k``, ``p`` of V, WQ and T.  A
-    :class:`ReducedCache` stores each block stacked over the terms of the
-    forms it depends on: ``WAV`` as (Q_A, r, r), ``KT`` as (Q_A, Q_A, p, p)
-    and, under an interpolant, ``WAV`` as (m, Q_A, r, r) over points and
-    terms.  On spd models A_k^T = A_k, so ``KT`` is ``RTT``.
+    Subclasses also set ``model``, ``spd``, ``l``, ``xi``, the columns ``Vc``
+    and ``Tc`` of V and T, the dimensions ``r``, ``k``, ``p`` of V, WQ and T,
+    and empty dicts ``_theta`` and ``_factors``.  A :class:`ReducedCache`
+    stores each block stacked over the terms of the forms it depends on, one
+    leading axis for all of them: ``WAV`` as (Q_A, r, r), ``CQ`` as
+    (Q_A Q_L, k, l), under an interpolant ``WAV`` as (m Q_A, r, r) over
+    points and terms, and the Gram blocks ``RAA``, ``Rbb``, ``KQ``, ``GLL``,
+    ``KT`` and ``RTT`` packed over the term pairs i <= j, ``KT`` as
+    (Q_A (Q_A + 1) / 2, p, p).  On spd models A_k^T = A_k, so ``KT`` is
+    ``RTT``; ``LQ``, ``LXQ`` and ``LXT`` are the transposes of ``QL``,
+    ``CQ`` and ``CT``.
+
+    The LU of ``WAV``, ``QAQ`` or ``KQ`` and the Cholesky factors of ``KQ``,
+    ``KT`` or ``RTT`` are computed on the first solve with them and kept,
+    keyed by block name (see :meth:`_factor`).
     """
+
+    _aliases = {}
 
     def __getattr__(self, name):
         if name.startswith("_"):
@@ -111,10 +126,30 @@ class _Blocks:
         setattr(self, name, value)
         return value
 
+    def __getitem__(self, name):
+        """The coefficient vector theta of the form ``name`` (``A``, ``b`` or
+        ``L``) at this point, evaluated on first read."""
+        if name not in self._theta:
+            self._theta[name] = getattr(self.model, name).coefficients_at(self.xi)
+        return self._theta[name]
+
+    def _factor(self, name, kind):
+        """The ``"lu"`` (a checked :class:`CheckedLU`) or ``"cho"`` (an
+        :class:`SpdFactor` with the least-squares fallback) factors of block
+        ``name``, computed on first use and kept for the point."""
+        name = self._aliases.get(name, name)
+        factors = self._factors.get((name, kind))
+        if factors is None:
+            M = getattr(self, name)
+            factors = (CheckedLU(M, _LU_SYSTEMS[name]) if kind == "lu"
+                       else SpdFactor(M))
+            self._factors[name, kind] = factors
+        return factors
+
     # -- routes ------------------------------------------------------------
 
     def solve_primal(self):
-        U = solve_checked(self.WAV, self.Wb.ravel(), "Petrov-Galerkin reduced system")
+        U = self._factor("WAV", "lu").solve(self.Wb.ravel())
         s = self.LV @ U if self.r else np.zeros(self.l)
         return OutputEstimate(np.asarray(s), "primal", primal_coeffs=U, blocks=self)
 
@@ -124,9 +159,9 @@ class _Blocks:
         if self.k == 0:
             return np.zeros(0), np.zeros(self.l)
         if self.spd:
-            Y = solve_checked(self.QAQ, rhs, "dual reduced system")
+            Y = self._factor("QAQ", "lu").solve(rhs)
             return Y, np.asarray(self.LQ @ Y)
-        Y = solve_checked(self.KQ, rhs, "dual reduced system")
+        Y = self._factor("KQ", "lu").solve(rhs)
         return Y, np.asarray(self.LXQ @ Y)
 
     def solve_dual_only(self):
@@ -148,13 +183,7 @@ class _Blocks:
             return OutputEstimate(np.zeros(self.l), "saddle", t_coeffs=np.zeros(0),
                                   blocks=self)
         M = self.TAT
-        try:
-            cho = la.cho_factor(0.5 * (M + M.T), check_finite=False)
-        except la.LinAlgError as exc:
-            raise ReducedSolveError(
-                f"saddle reduced matrix is not SPD ({exc}); model misuse?"
-            ) from exc
-        Y = la.cho_solve(cho, self.Tb.ravel(), check_finite=False)
+        Y = SpdFactor(0.5 * (M + M.T), "saddle reduced matrix").solve(self.Tb.ravel())
         return OutputEstimate(np.asarray(self.LT @ Y), "saddle", t_coeffs=Y,
                               blocks=self)
 
@@ -208,7 +237,7 @@ class _Blocks:
         if self.p == 0:
             return np.sqrt(max(s0, 0.0))
         q = self.RTb.ravel()
-        val = s0 - float(q @ solve_spd_min(self.RTT, q))
+        val = s0 - float(q @ self._factor("RTT", "cho").solve(q))
         return np.sqrt(max(clip_nonneg(val, 1e-10), 0.0))
 
     def dual_schur(self, space="WQ"):
@@ -218,15 +247,15 @@ class _Blocks:
             raise ValueError(f"unknown space {space!r}")
         if (self.k if space == "WQ" else self.p) == 0:
             return self.GLL
-        K, C = (self.KQ, self.CQ) if space == "WQ" else (self.KT, self.CT)
-        return self.GLL - C.T @ solve_spd_min(K, C)
+        K, C = ("KQ", self.CQ) if space == "WQ" else ("KT", self.CT)
+        return self.GLL - C.T @ self._factor(K, "cho").solve(C)
 
     def pd_dual_matrix(self):
         """(L^* - A^* Q_k)-Gram in the R_V0 dual norm, as an l x l matrix."""
         if self.k == 0 or not self.spd:
             return self.dual_schur("WQ")
         K, C = self.KQ, self.CQ
-        qhat = solve_checked(self.QAQ, self.QL, "dual minimizer system")
+        qhat = self._factor("QAQ", "lu").solve(self.QL)
         return self.GLL - C.T @ qhat - qhat.T @ C + qhat.T @ (K @ qhat)
 
 
@@ -281,6 +310,7 @@ class DirectBlocks(_Blocks):
 
         self.model, self.xi = model, xi
         self.spd, self.l = model.symmetry == "spd", model.l
+        self._theta, self._factors = {}, {}
         self.Vc, self.Qc, self.Tc = cols(V), cols(WQ), cols(T)
         self.Wc = self.Vc if W is None else as_columns(W)
         self.r, self.k, self.p = self.Vc.shape[1], self.Qc.shape[1], self.Tc.shape[1]
@@ -372,68 +402,103 @@ def build_test_space(model, V, precond, xi):
 # ---------------------------------------------------------------------------
 
 class _Affine:
-    """An affine family sum_i w_i(xi) S_i over stacked terms S.
+    """An affine family sum_t w_t(xi) S_t over a stack of terms S.
 
-    ``stack`` has one leading axis per name in ``names``: a stacked array, or
-    a list of full-order images for a one-name family.  The weights w are the
-    outer product of the coefficient vectors those names select at a point,
-    and the sum accumulates in term order (``acc = w_0 S_0; acc += w_i S_i``).
+    ``stack`` is one ndarray of shape (n_terms, *block): a reduced block or
+    a full-order image per term.  Its terms run over the product of the
+    forms in ``names`` (the last name varies fastest), and the weights w are
+    the outer product of the coefficient vectors those names select at a
+    point; the name "1" is a fixed matrix of weight 1.  The sum is one
+    matrix-vector product over the flattened stack.
     """
 
     def __init__(self, names, stack):
-        self.names, self.stack = tuple(names), stack
-        terms = list(stack)
-        for _ in self.names[1:]:
-            terms = [t for row in terms for t in row]
-        self._terms = terms
-        # the weight 1 of a fixed matrix leaves the products unchanged
+        self.names, self.stack = tuple(names), np.asarray(stack, dtype=float)
         self._weights = [name for name in self.names if name != "1"]
+
+    def weights(self, theta):
+        """The weight of each term at one point."""
+        w = np.ones(1)
+        for name in self._weights:
+            w = np.multiply.outer(w, theta[name]).ravel()
+        return w
 
     def at(self, theta):
         """The sum at one point, whose coefficient vectors are ``theta[name]``."""
-        w = theta[self._weights[0]]
-        for name in self._weights[1:]:
-            w = np.multiply.outer(w, theta[name]).ravel()
-        acc = w[0] * self._terms[0]
-        for wi, term in zip(w[1:], self._terms[1:]):
-            acc += wi * term
-        return acc
+        S = self.stack
+        return (self.weights(theta) @ S.reshape(len(S), -1)).reshape(S.shape[1:])
 
-    def transposed(self):
-        """The family of transposed terms, with the stacked axes reversed."""
-        q, nd = len(self.names), self.stack.ndim
-        return _Affine(self.names[::-1],
-                       self.stack.transpose(*range(q)[::-1], nd - 1, nd - 2))
+
+class _Gram(_Affine):
+    """A symmetric family sum_{i,j} theta_i theta_j F_i^T R_V0^{-1} F_j over
+    the terms of one form, packed: ``stack`` holds S_ij = F_i^T Z_j for i <= j
+    only, Q(Q+1)/2 blocks in row-major upper-triangle order, since S_ji is
+    S_ij^T.  With c_ij = theta_i theta_j and c_ii = theta_i^2 / 2, the sum is
+    U + U^T for U = sum_{i<=j} c_ij S_ij, exactly symmetric."""
+
+    def __init__(self, name, stack, Q):
+        super().__init__((name,), stack)
+        self._i, self._j = np.triu_indices(Q)
+        self._scale = np.where(self._i == self._j, 0.5, 1.0)
+
+    def weights(self, theta):
+        t = theta[self.names[0]]
+        return t[self._i] * t[self._j] * self._scale
+
+    def at(self, theta):
+        U = super().at(theta)
+        return U + U.T
+
+
+def _stacked(count, blocks):
+    """The ``count`` equal-shape arrays that ``blocks`` yields, copied one by
+    one into a new (count, ...) array, so that no list of them is held
+    alongside the stack."""
+    out = None
+    for t, B in enumerate(blocks):
+        if out is None:
+            out = np.empty((count,) + np.shape(B))
+        out[t] = B
+    return out
 
 
 def _fixed(X):
     """A parameter-independent matrix as a family of one term of weight 1."""
-    return _Affine(("1",), [X])
+    return _Affine(("1",), X[None])
 
 
 def _family(model, name, X=None, transpose=False):
     """Images term_k @ X (or term_k^T @ X) of the terms of ``model.<name>``;
     with no X, the dense transposed terms (a vector term as one column)."""
-    out = []
-    for _, term in getattr(model, name).terms:
+    def image(term):
         if X is None:
-            term = np.atleast_2d(dense(term)).T
-        else:
-            term = term.T @ X if transpose else term @ X
-        out.append(np.asarray(term, dtype=float))
-    return _Affine((name,), out)
+            return np.atleast_2d(dense(term)).T
+        return term.T @ X if transpose else term @ X
+
+    form = getattr(model, name)
+    return _Affine((name,), _stacked(form.nterms, (image(t) for _, t in form.terms)))
 
 
 def _riesz(c, fam):
     """Riesz representers R_V0^{-1} F_k of a family of dual images."""
-    return _Affine(fam.names, [c.model.riesz_v0(F) for F in fam.stack])
+    return _Affine(fam.names,
+                   _stacked(len(fam.stack), (c.model.riesz_v0(F) for F in fam.stack)))
 
 
 def _pairs(fam_a, fam_b):
-    """Stacked blocks Fa_j^T Fb_k for every pair of terms; with ``fam_b`` a
-    family of Riesz images, these are the pairings through R_V0^{-1}."""
+    """Stacked blocks Fa_j^T Fb_k for every pair of terms, k fastest."""
     return _Affine(fam_a.names + fam_b.names,
-                   np.array([[Fa.T @ Fb for Fb in fam_b.stack] for Fa in fam_a.stack]))
+                   _stacked(len(fam_a.stack) * len(fam_b.stack),
+                            (Fa.T @ Fb for Fa in fam_a.stack for Fb in fam_b.stack)))
+
+
+def _gram(fam, zfam):
+    """The packed :class:`_Gram` of a family ``fam`` of dual images and the
+    family ``zfam`` of their Riesz representers: F_i^T Z_j for i <= j."""
+    F, Z = fam.stack, zfam.stack
+    pairs = [(i, j) for i in range(len(F)) for j in range(i, len(F))]
+    return _Gram(fam.names[0], _stacked(len(pairs), (F[i].T @ Z[j] for i, j in pairs)),
+                 len(F))
 
 
 # name -> builder(cache, get); a builder reads other groups through get
@@ -449,8 +514,9 @@ _GROUPS = {
     "FA_T": lambda c, g: _family(c.model, "A", g("T").columns),
     "FAt_T": lambda c, g: _family(c.model, "A", g("T").columns, transpose=True),
     # test-space images Y_i = A(xi_i)^{-T} R_V0 V: W(xi) = sum_i lambda_i Y_i
-    "Ys": lambda c, g: _Affine(("lam",), [f.solve(c.model.gram_v0 @ c.Vc, transpose=True)
-                                          for f in c.precond.factorizations]),
+    "Ys": lambda c, g: _Affine(("lam",), _stacked(
+        c.precond.m, (f.solve(c.model.gram_v0 @ c.Vc, transpose=True)
+                      for f in c.precond.factorizations))),
     # Riesz representers of the term images; XQ = R_V0^{-1} A^T WQ, XT likewise
     "zA_V": lambda c, g: _riesz(c, g("FA_V")),
     "XQ": lambda c, g: _riesz(c, g("FAt_Q")),
@@ -463,29 +529,25 @@ _GROUPS = {
     "Wb": lambda c, g: _pairs(g("Ys") if c._precond_w else _fixed(c.Vc), g("b")),
     "LV": lambda c, g: _pairs(g("FL"), _fixed(c.Vc)),
     # primal residual in the R_V0 dual norm
-    "RAA": lambda c, g: _pairs(g("FA_V"), g("zA_V")),
-    "Rbb": lambda c, g: _pairs(g("b"), g("zb")),
+    "RAA": lambda c, g: _gram(g("FA_V"), g("zA_V")),
+    "Rbb": lambda c, g: _gram(g("b"), g("zb")),
     "RAb": lambda c, g: _pairs(g("FA_V"), g("zb")),
     # dual route
     "QAV": lambda c, g: _pairs(_fixed(c.WQc), g("FA_V")),
     "Qb": lambda c, g: _pairs(_fixed(c.WQc), g("b")),
     "QAQ": lambda c, g: _pairs(_fixed(c.WQc), g("FA_Q")),
     "QL": lambda c, g: _pairs(_fixed(c.WQc), g("FL")),
-    # contiguous like a product's, since BLAS results depend on the layout
-    "LQ": lambda c, g: _Affine(("L", "1"), np.ascontiguousarray(g("QL").transposed().stack)),
-    "KQ": lambda c, g: _pairs(g("FAt_Q"), g("XQ")),
+    "KQ": lambda c, g: _gram(g("FAt_Q"), g("XQ")),
     "CQ": lambda c, g: _pairs(g("FAt_Q"), g("zL")),
-    "LXQ": lambda c, g: g("CQ").transposed(),
-    "GLL": lambda c, g: _pairs(g("FL"), g("zL")),
+    "GLL": lambda c, g: _gram(g("FL"), g("zL")),
     # saddle route over T = V + WQ
     "Tb": lambda c, g: _pairs(_fixed(g("T").columns), g("b")),
     "TAT": lambda c, g: _pairs(_fixed(g("T").columns), g("FA_T")),
     "LT": lambda c, g: _pairs(g("FL"), _fixed(g("T").columns)),
     "TAV": lambda c, g: _pairs(_fixed(g("T").columns), g("FA_V")),
-    "KT": lambda c, g: _pairs(g("FAt_T"), g("XT")),
+    "KT": lambda c, g: _gram(g("FAt_T"), g("XT")),
     "CT": lambda c, g: _pairs(g("FAt_T"), g("zL")),
-    "LXT": lambda c, g: g("CT").transposed(),
-    "RTT": lambda c, g: _pairs(g("FA_T"), g("zA_T")),
+    "RTT": lambda c, g: _gram(g("FA_T"), g("zA_T")),
     "RTb": lambda c, g: _pairs(g("FA_T"), g("zb")),
 }
 
@@ -493,25 +555,29 @@ _GROUPS = {
 # each), so A_k^T X is A_k X and each transposed group is the direct one
 _SPD_ALIASES = {"FAt_Q": "FA_Q", "FAt_T": "FA_T", "XT": "zA_T", "KT": "RTT"}
 
+# blocks read as the transpose of another block at the point
+_TRANSPOSES = {"LQ": "QL", "LXQ": "CQ", "LXT": "CT"}
+
+# the system each LU-factored block is, as its ReducedSolveError names it
+_LU_SYSTEMS = {"WAV": "Petrov-Galerkin reduced system",
+               "QAQ": "dual reduced system", "KQ": "dual reduced system"}
+
 
 class _CachedBlocks(_Blocks):
     """The blocks of a :class:`ReducedCache` evaluated at one point."""
 
     def __init__(self, cache, xi):
-        self.cache, self.xi = cache, xi
+        self.cache, self.model, self.xi = cache, cache.model, xi
         self.spd, self.l = cache._spd, cache.model.l
         self.r, self.k, self.Vc = cache.r, cache.k, cache.Vc
-        self._theta = {}
+        self._theta, self._factors = {}, {}
+        self._aliases = _SPD_ALIASES if self.spd else {}
 
     def __getitem__(self, name):
-        """The coefficient vector ``name`` at this point, evaluated on first
-        read: theta of the form ``A``, ``b`` or ``L``, or the interpolation
-        weights ``lam``."""
-        if name not in self._theta:
-            self._theta[name] = (
-                self.cache.precond.fit(self["A"]) if name == "lam"
-                else getattr(self.cache.model, name).coefficients_at(self.xi))
-        return self._theta[name]
+        """As for every point's blocks, and the interpolation weights ``lam``."""
+        if name == "lam" and name not in self._theta:
+            self._theta[name] = self.cache.precond.fit(self["A"])
+        return super().__getitem__(name)
 
     @property
     def p(self):
@@ -523,16 +589,18 @@ class _CachedBlocks(_Blocks):
 
     def _block(self, name):
         if name == "A":  # assembled at full order: read by the general saddle residual
-            return self.cache.model.operator_at(self.xi)
-        if self.spd and name in _SPD_ALIASES:
-            return getattr(self, _SPD_ALIASES[name])
+            return self.model.operator_at(self.xi)
+        if name in self._aliases:
+            return getattr(self, self._aliases[name])
+        if name in _TRANSPOSES:
+            return getattr(self, _TRANSPOSES[name]).T
         if name not in _GROUPS or name == "T":
             raise AttributeError(name)
         return self.cache._get(name).at(self)
 
     def _apply_AV(self, U):
         # the term images times U, summed: A(xi) itself is never assembled
-        return _Affine(("A",), [F @ U for F in self.cache._get("FA_V").stack]).at(self)
+        return self["A"] @ (self.cache._get("FA_V").stack @ U)
 
 
 class ReducedCache:

@@ -94,3 +94,21 @@ def test_form_shape_mismatch_rejected():
         ])
     with pytest.raises(ValueError):
         AffineForm([])
+
+
+@pytest.mark.parametrize("kinds", [("constant",), ("monomial",), ("constant", "monomial")])
+def test_coefficients_at_equals_each_coefficient_bitwise(kinds):
+    # one array operation over the terms, as each coefficient computes alone
+    rng = np.random.default_rng(7)
+    d = 4
+    terms = []
+    for k in range(6):
+        kind = kinds[k % len(kinds)]
+        coeff = (CoefficientFn.constant(rng.uniform(-2.0, 2.0)) if kind == "constant"
+                 else CoefficientFn.monomial(rng.uniform(-2.0, 2.0),
+                                             rng.integers(0, 4, size=d)))
+        terms.append((coeff, rng.standard_normal(3)))
+    form = AffineForm(terms)
+    for xi in rng.uniform(0.1, 10.0, size=(200, d)):
+        want = np.array([coeff(xi) for coeff, _ in form.terms])
+        assert form.coefficients_at(xi).tobytes() == want.tobytes()

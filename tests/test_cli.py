@@ -242,6 +242,20 @@ def test_stats_without_usable_errors_exits_with_one_line(workspace, tmp_path, ca
     assert not (tmp_path / "report.json").exists()
 
 
+def test_stats_refuses_an_estimate_file_without_delta(workspace, tmp_path, capsys):
+    ws = workspace
+    est = tmp_path / "eval-primal.csv"
+    assert run("eval", "--bundle", ws / "bundle", "--spaces", ws / "spaces",
+               "--method", "primal", "--xi-file", ws / "truth.csv", "--out", est) == 0
+    capsys.readouterr()
+    assert run("stats", "--est", est, "--truth", ws / "truth.csv",
+               "--out", tmp_path / "report.json") == 1
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0  # single-line diagnostic
+    assert "eval-primal.csv" in err and "delta" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_eval_refuses_spaces_of_another_bundle(workspace, tmp_path, capsys):
     ws = workspace
     assert run("generate", "--kind", "diffusion", "--n", "64", "--d", "2",

@@ -472,10 +472,10 @@ def test_cache_blocks_match_direct_blocks(which, spd_small, gen_small,
                                           spd_spaces, gen_spaces):
     # block by block, so that a transposed block taken for the direct one on
     # a general model shows even where a route would not read it
-    from gorom.projectors import _GROUPS, DirectBlocks
+    from gorom.projectors import _GROUPS, _TRANSPOSES, DirectBlocks
     model, V, WQ, P, cache = model_cache(which, spd_small, gen_small,
                                          spd_spaces, gen_spaces)
-    names = sorted(set(DirectBlocks._RECIPES) & set(_GROUPS))
+    names = sorted(set(DirectBlocks._RECIPES) & (set(_GROUPS) | set(_TRANSPOSES)))
     assert {"WAV", "Wb", "LV", "KQ", "CQ", "LXQ", "QAQ", "LQ", "QL", "GLL",
             "KT", "CT", "LXT", "TAT", "TAV", "Tb", "LT", "zL", "b", "XQ", "XT",
             "Rbb", "RAA", "RAb", "RTT", "RTb"} <= set(names)
@@ -489,12 +489,98 @@ def test_cache_blocks_match_direct_blocks(which, spd_small, gen_small,
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), name
 
 
+# each packed Gram group with the families of its dual images and of their
+# Riesz representers
+_GRAM_FAMILIES = {"RAA": ("FA_V", "zA_V"), "Rbb": ("b", "zb"), "KQ": ("FAt_Q", "XQ"),
+                  "GLL": ("FL", "zL"), "KT": ("FAt_T", "XT"), "RTT": ("FA_T", "zA_T")}
+
+
+@pytest.mark.parametrize("which", ["spd", "general"])
+def test_packed_gram_blocks_are_symmetric_and_match_all_pairs(
+        which, spd_small, gen_small, spd_spaces, gen_spaces):
+    from gorom.projectors import _pairs
+    model, _, _, _, cache = model_cache(which, spd_small, gen_small,
+                                        spd_spaces, gen_spaces)
+    for name, (fam, zfam) in _GRAM_FAMILIES.items():
+        F, Z = cache._get(fam), cache._get(zfam)
+        Q = len(F.stack)
+        assert cache._get(name).stack.shape[0] == Q * (Q + 1) // 2, name  # i <= j
+        for xi in model.domain.sample(3, np.random.default_rng(33)):
+            blocks = cache.at(xi)
+            got = getattr(blocks, name)
+            want = _pairs(F, Z).at(blocks)  # all Q^2 ordered pairs
+            np.testing.assert_array_equal(got, got.T)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+
+
+@pytest.mark.parametrize("method", ["primal-dual", "saddle"])
+def test_spd_estimate_factors_each_reduced_matrix_once(method, spd_small, spd_spaces,
+                                                       monkeypatch):
+    from gorom import estimate_error, projectors
+    made = []
+
+    class CountingLU(projectors.CheckedLU):
+        def __init__(self, M, what):
+            made.append(("lu", M))
+            super().__init__(M, what)
+
+    class CountingSpd(projectors.SpdFactor):
+        def __init__(self, M, what=None):
+            made.append(("cho", M))
+            super().__init__(M, what)
+
+    monkeypatch.setattr(projectors, "CheckedLU", CountingLU)
+    monkeypatch.setattr(projectors, "SpdFactor", CountingSpd)
+    cache = ReducedCache(spd_small, *spd_spaces)
+    for xi in spd_small.domain.sample(3, np.random.default_rng(34)):
+        made.clear()
+        sol = cache.solve(xi, method)
+        estimate_error(spd_small, sol)
+        b = sol.blocks
+
+        def count(kind, M):
+            return sum(k == kind and np.array_equal(X, M) for k, X in made)
+
+        assert len(made) == 2
+        if method == "primal-dual":  # dual correction and dual factor share QAQ
+            assert count("lu", b.QAQ) == 1 and count("lu", b.WAV) == 1
+        else:  # the saddle point reads TAT; the residual and dual factor RTT = KT
+            assert count("cho", b.RTT) == 1
+            assert count("cho", 0.5 * (b.TAT + b.TAT.T)) == 1
+
+
+def test_map_points_threads_give_bitwise_equal_estimates():
+    # large enough (n >= 400, p >= 100) that the block contractions are
+    # GEMVs a multi-threaded BLAS splits over its threads
+    from gorom import estimate_error, make_diffusion_problem, ProblemConfig
+    from gorom.projectors import map_points
+    from tests.conftest import snapshot_spaces
+    model = make_diffusion_problem(ProblemConfig(n=400, d=6, l=20, seed=4,
+                                                 kind="diffusion-spd"))
+    V, WQ = snapshot_spaces(model, 4, 6, seed=35)
+    xis = model.domain.sample(12, np.random.default_rng(36))
+    for method in ("primal-dual", "saddle"):
+        cache = ReducedCache(model, V, WQ)
+        assert cache.p >= 100
+
+        def one(xi):
+            sol = cache.solve(xi, method)
+            rec = estimate_error(model, sol)
+            return np.concatenate([sol.s_tilde, [rec.delta, rec.primal_factor,
+                                                 rec.dual_factor]])
+
+        serial = map_points(one, xis, threads=1)
+        pooled = map_points(one, xis, threads=4)
+        for a, b in zip(serial, pooled):
+            assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("which", ["spd", "general", "general-precond"])
 def test_cache_point_evaluates_each_coefficient_once(
         which, spd_small, gen_small, spd_spaces, gen_spaces, monkeypatch):
     from collections import Counter
 
-    from gorom import CoefficientFn
+    from gorom import AffineForm
     from gorom.projectors import _GROUPS
     model, V, WQ, P, cache = model_cache(which, spd_small, gen_small,
                                          spd_spaces, gen_spaces)
@@ -503,13 +589,13 @@ def test_cache_point_evaluates_each_coefficient_once(
     for name in names:  # every group built beforehand, at another point
         getattr(cache.at(xi0), name)
     calls = Counter()
-    original = CoefficientFn.__call__
+    original = AffineForm.coefficients_at
 
-    def counting(self, x):
+    def counting(self, x):  # a form evaluates all its coefficients at once
         calls[id(self)] += 1
         return original(self, x)
 
-    monkeypatch.setattr(CoefficientFn, "__call__", counting)
+    monkeypatch.setattr(AffineForm, "coefficients_at", counting)
     blocks = cache.at(xi)
     for name in names:
         getattr(blocks, name)
@@ -524,8 +610,8 @@ def test_cache_point_evaluates_each_coefficient_once(
     blocks.min_residual_over_T()
     blocks.dual_schur("T")
     blocks.pd_dual_matrix()
-    coeffs = [c for form in (model.A, model.b, model.L) for c, _ in form.terms]
-    assert sorted(calls[id(c)] for c in coeffs) == [1] * len(coeffs)
+    assert [calls[id(form)] for form in (model.A, model.b, model.L)] == [1, 1, 1]
+    assert sum(calls.values()) == 3
 
 
 @pytest.mark.parametrize("which", ["spd", "general", "general-precond"])
