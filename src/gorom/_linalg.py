@@ -26,8 +26,11 @@ def as_columns(X):
 class CheckedLU:
     """LU factors of a square matrix with a reciprocal-condition guard.
 
-    Raises :class:`ReducedSolveError` naming ``what`` when the 1-norm
-    condition estimate exceeds ``COND_LIMIT`` (a discrete inf-sup failure).
+    Raises :class:`ReducedSolveError` naming ``what`` when the matrix is
+    exactly singular or its 1-norm condition estimate (LAPACK ``gecon``)
+    exceeds ``COND_LIMIT`` (a discrete inf-sup failure).  LAPACK is called
+    directly, so an exactly singular matrix raises that one error and no
+    ``LinAlgWarning``.
     """
 
     def __init__(self, M, what):
@@ -38,60 +41,67 @@ class CheckedLU:
         anorm = np.linalg.norm(M, 1)
         if anorm == 0.0 or not np.isfinite(anorm):
             raise ReducedSolveError(f"{what}: zero or non-finite matrix", cond=np.inf)
-        try:
-            self.factors = la.lu_factor(M, check_finite=False)
-        except la.LinAlgError as exc:
-            raise ReducedSolveError(f"{what}: {exc}", cond=np.inf) from exc
-        lu = self.factors[0]
-        gecon = la.get_lapack_funcs("gecon", (lu,))
-        rcond, info = gecon(lu, anorm, norm="1")
-        if info != 0 or rcond <= 0.0 or 1.0 / rcond > COND_LIMIT:
-            cond = np.inf if rcond <= 0.0 else 1.0 / rcond
-            raise ReducedSolveError(
-                f"{what}: reduced system is numerically singular "
-                f"(condition estimate {cond:.2e})",
-                cond=cond,
-            )
+        getrf, gecon, self._getrs = la.get_lapack_funcs(("getrf", "gecon", "getrs"), (M,))
+        self.lu, self.piv, info = getrf(M)
+        rcond = 0.0
+        if info == 0:
+            rcond, info = gecon(self.lu, anorm, norm="1")
+        _refuse_ill_conditioned(what, info, rcond)
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
         if self.n == 0:
             return np.zeros((0,) + rhs.shape[1:])
-        return la.lu_solve(self.factors, rhs, check_finite=False)
-
-
-def solve_checked(M, rhs, what):
-    """Solve M x = rhs through a :class:`CheckedLU` of M."""
-    return CheckedLU(M, what).solve(rhs)
+        return self._getrs(self.lu, self.piv, rhs)[0]
 
 
 class SpdFactor:
-    """Cholesky factors of a symmetric positive (semi)definite matrix.
+    """Cholesky factor of a symmetric positive (semi)definite matrix.
 
-    Where Cholesky fails, ``what=None`` keeps M and solves by least squares
-    (the deflated normal equations of a quadratic minimization); a named
-    ``what`` raises :class:`ReducedSolveError` instead.
+    A named factor (``what`` given) is a checked one: it raises
+    :class:`ReducedSolveError` naming ``what`` when M is not SPD or its
+    1-norm condition estimate (LAPACK ``pocon``) exceeds ``COND_LIMIT``.
+    An unnamed factor keeps M where Cholesky fails and solves by least
+    squares (the deflated normal equations of a quadratic minimization).
     """
 
     def __init__(self, M, what=None):
         M = np.asarray(M, dtype=float)
-        self.n, self.cho, self.M = M.shape[0], None, M
+        self.n, self.U, self.M = M.shape[0], None, M
         if self.n == 0:
             return
-        try:
-            self.cho = la.cho_factor(M, check_finite=False)
-        except la.LinAlgError as exc:
-            if what is not None:
-                raise ReducedSolveError(
-                    f"{what} is not SPD ({exc}); model misuse?") from exc
+        potrf, pocon, self._potrs = la.get_lapack_funcs(("potrf", "pocon", "potrs"), (M,))
+        U, info = potrf(M, lower=0, clean=0)
+        if what is None:
+            self.U = U if info == 0 else None
+            return
+        if info != 0:
+            raise ReducedSolveError(f"{what} is not SPD (leading minor {info} is not "
+                                    "positive definite); model misuse?", cond=np.inf)
+        rcond, info = pocon(U, np.linalg.norm(M, 1))
+        _refuse_ill_conditioned(what, info, rcond)
+        self.U = U
 
     def solve(self, rhs):
+        rhs = np.asarray(rhs, dtype=float)
         if self.n == 0:
-            return np.zeros((0,) + np.shape(rhs)[1:])
-        if self.cho is not None:
-            return la.cho_solve(self.cho, rhs)
+            return np.zeros((0,) + rhs.shape[1:])
+        if self.U is not None:
+            return self._potrs(self.U, rhs, lower=0)[0]
         sol, *_ = la.lstsq(self.M, rhs, check_finite=False)
         return sol
+
+
+def _refuse_ill_conditioned(what, info, rcond):
+    """Raise the :class:`ReducedSolveError` of system ``what`` unless LAPACK
+    succeeded (``info`` 0) with a condition estimate 1/rcond within COND_LIMIT."""
+    if info != 0 or not rcond > 0.0 or 1.0 / rcond > COND_LIMIT:
+        cond = 1.0 / rcond if rcond > 0.0 else np.inf
+        raise ReducedSolveError(
+            f"{what}: reduced system is numerically singular "
+            f"(condition estimate {cond:.2e})",
+            cond=cond,
+        )
 
 
 def clip_unit(value, tol=1e-12):

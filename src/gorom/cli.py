@@ -271,6 +271,12 @@ def cmd_estimate(args):
     return 0
 
 
+def _numbered(header, prefix):
+    """Column index by name of the columns prefix1, prefix2, ... of a header."""
+    return {h: j for j, h in enumerate(header)
+            if h.startswith(prefix) and h[len(prefix):].isdigit()}
+
+
 def cmd_stats(args):
     def load(path):
         with open(path, newline="") as fh:
@@ -283,23 +289,35 @@ def cmd_stats(args):
         raise GoromError(f"{args.est} has no delta column; give the output of "
                          "gorom estimate")
     truth_header, truth_rows = load(args.truth)
+    pair = f"{args.est} against {args.truth}"
     if len(est_rows) != len(truth_rows):
-        raise GoromError("estimate and truth files have different sample counts")
-    scols = [j for j, h in enumerate(truth_header) if h.startswith("s")]
-    est_scols = [j for j, h in enumerate(est_header) if h.startswith("s")
-                 and h[1:].isdigit()]
+        raise GoromError(f"{pair}: the files have different sample counts")
+    est_xi, truth_xi = _numbered(est_header, "xi"), _numbered(truth_header, "xi")
+    if not est_xi or est_xi.keys() != truth_xi.keys():
+        raise GoromError(f"{pair}: the files have different parameter columns")
+    est_s, truth_s = _numbered(est_header, "s"), _numbered(truth_header, "s")
+    if not est_s or est_s.keys() != truth_s.keys():
+        raise GoromError(f"{pair}: {len(est_s)} output columns against {len(truth_s)}")
     dcol = est_header.index("delta")
     deltas, errors, snorms = [], [], []
-    for er, tr in zip(est_rows, truth_rows):
-        s_true = np.array([float(tr[j]) for j in scols])
-        s_est = np.array([float(er[j]) for j in est_scols])
-        deltas.append(float(er[dcol]))
+    for i, (er, tr) in enumerate(zip(est_rows, truth_rows)):
+        try:
+            xi_est = [float(er[est_xi[h]]) for h in est_xi]
+            xi_true = [float(tr[truth_xi[h]]) for h in est_xi]
+            s_true = np.array([float(tr[truth_s[h]]) for h in est_s])
+            s_est = np.array([float(er[est_s[h]]) for h in est_s])
+            deltas.append(float(er[dcol]))
+        except (ValueError, IndexError):
+            raise GoromError(f"{pair}: row {i + 1} needs a number in each "
+                             "xi, s and delta column") from None
+        if xi_est != xi_true:
+            raise GoromError(f"{pair}: row {i + 1} is at another parameter point")
         errors.append(float(np.linalg.norm(s_true - s_est)))
         snorms.append(float(np.linalg.norm(s_true)))
     try:
         report = effectivity_report(deltas, errors, s_norms=snorms, bins=args.bins)
     except ValueError as exc:
-        raise GoromError(f"{args.est} against {args.truth}: {exc}") from None
+        raise GoromError(f"{pair}: {exc}") from None
     payload = {
         "mean": report.mean,
         "maxmin_ratio": report.maxmin_ratio,
@@ -445,7 +463,8 @@ def build_parser():
 
     p = sub.add_parser("stats", help="effectivity statistics")
     p.add_argument("--est", required=True, help="output of gorom estimate")
-    p.add_argument("--truth", required=True, help="output of gorom truth")
+    p.add_argument("--truth", required=True,
+                   help="output of gorom truth at the same points, in the same order")
     p.add_argument("--bins", type=int, default=50)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stats)

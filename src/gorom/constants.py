@@ -14,7 +14,11 @@ eigenproblems after projecting onto the given bases:
 The reduced blocks at the point (A^T S, its Riesz representers, the
 Grams over S and V, and the output map) are read from one
 :class:`~gorom.projectors.DirectBlocks` with S as its dual space, so A(xi)
-is assembled once per point and each Riesz representer is solved once.
+is assembled once per point, each Riesz representer is solved once, and
+each reduced matrix is factored once, through the point's blocks: the
+dual system S^T A S in the energy norm, K = (A^T S)^T R_V0^{-1} A^T S in
+the R_V0 norm.  A test space whose reduced system is refused as
+numerically singular raises :class:`DegenerateTestSpaceError`.
 
 Each delta is evaluated from explicit residual vectors (the Gram of
 ``v - P v`` against the V-Gram), not from ``1 - lambda_min`` of the
@@ -31,11 +35,10 @@ online cost accounting.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
-from ._linalg import COND_LIMIT, clip_unit, eig_extreme
+from ._linalg import clip_unit, eig_extreme
 from .estimators import _dual_sup
-from .exceptions import DegenerateTestSpaceError
+from .exceptions import DegenerateTestSpaceError, ReducedSolveError
 from .model import Factorization
 from .projectors import DirectBlocks
 
@@ -51,23 +54,15 @@ class ConstantsReport:
     alpha: float
 
 
-def _spd_chol(M, what):
-    """Cholesky factor of the symmetric part of M, refused when M is
-    singular or numerically singular (1-norm condition estimate from LAPACK
-    ``pocon`` above ``COND_LIMIT``)."""
-    H = 0.5 * (M + M.T)
+def _solve(d, energy, rhs, what):
+    """Solve with the point's factor of S^T A S (energy norm) or K (R_V0
+    norm); a refused factor means a degenerate test space."""
     try:
-        cho = la.cho_factor(H, check_finite=False)
-    except la.LinAlgError as exc:
-        reason = str(exc)
-    else:
-        pocon = la.get_lapack_funcs("pocon", (cho[0],))
-        rcond, info = pocon(cho[0], np.linalg.norm(H, 1), uplo="L" if cho[1] else "U")
-        if info == 0 and rcond * COND_LIMIT > 1.0:
-            return cho
-        reason = f"condition estimate {1.0 / max(rcond, np.finfo(float).tiny):.2e}"
-    raise DegenerateTestSpaceError(
-        f"{what}: test space degenerate under the adjoint operator ({reason})")
+        return d.factor("QAQ" if energy else "KQ").solve(rhs)
+    except ReducedSolveError as exc:
+        raise DegenerateTestSpaceError(
+            f"{what}: test space degenerate under the adjoint operator ({exc})"
+        ) from exc
 
 
 def _energy(model, gram):
@@ -84,11 +79,10 @@ def _delta_alpha(d, energy):
     B = d.QAV
     if energy:
         # R_V = A(xi): the supremizer map R_V^{-1} A^T S is S itself
-        Z, H, G_V = d.Qc, d.QAQ, d.WAV
+        Z, G_V = d.Qc, d.WAV
     else:
-        Z, H, G_V = d.XQ, d.KQ, d.Vc.T @ (d.model.gram_v0 @ d.Vc)
-    cho = _spd_chol(H, "delta_VW")
-    X = la.cho_solve(cho, B, check_finite=False)
+        Z, G_V = d.XQ, d.Vc.T @ (d.model.gram_v0 @ d.Vc)
+    X = _solve(d, energy, B, "delta_VW")
     resid = d.Vc - Z @ X
     Gresid = np.asarray(d.A @ resid) if energy else d.model.gram_v0 @ resid
     D = resid.T @ Gresid
@@ -103,9 +97,8 @@ def _delta_l(d, energy):
     """delta_L of the test space S = d.Qc."""
     Lt = d.Ld.T
     if d.k:
-        K, C = (d.QAQ, d.QL) if energy else (d.KQ, d.AtQ.T @ d.zL)
-        cho = _spd_chol(K, "delta_L")
-        Dres = Lt - d.AtQ @ la.cho_solve(cho, C, check_finite=False)
+        C = d.QL if energy else d.AtQ.T @ d.zL
+        Dres = Lt - d.AtQ @ _solve(d, energy, C, "delta_L")
     else:
         Dres = Lt
     if energy:

@@ -127,10 +127,6 @@ class GreedyTrace:
     iterations: list = field(default_factory=list)
     aborted: str | None = None
 
-    @property
-    def factorizations(self):
-        return self.iterations[-1].factorizations if self.iterations else 0
-
     def to_dict(self):
         return {
             "config": self.config,
@@ -206,16 +202,12 @@ def run_greedy(model, cfg, threads=None):
                 lambda xi: estimate_error(model, cache.solve(xi, cfg.method),
                                           precond=precond),
                 train, threads or 1)]
-        except GoromError as exc:
-            trace.aborted = f"iteration {i}: {exc}"
-            raise GreedyAborted(str(exc), trace=trace) from exc
-        jstar = argmax_delta(deltas)
-        sup_delta = float(deltas[jstar])
-        delta_prev = [float(deltas[j]) for j in selected]
-        if sup_delta < cfg.stop_threshold:
-            break
-        xi_star = train[jstar]
-        try:
+            jstar = argmax_delta(deltas)
+            sup_delta = float(deltas[jstar])
+            delta_prev = [float(deltas[j]) for j in selected]
+            if sup_delta < cfg.stop_threshold:
+                break
+            xi_star = train[jstar]
             fact = model.factorize_operator(xi_star)
             nfact += 1
             if precond is not None:

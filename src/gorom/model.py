@@ -10,7 +10,6 @@ induced by A(xi); for ``general`` models it is the fixed R_V0 norm.
 """
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -113,15 +112,18 @@ class FullOrderModel:
         Declares that every operator coefficient is positive over the whole
         domain and every operator term is symmetric positive semidefinite,
         the precondition of the min-theta bound.
-    validate : bool
-        Run the SPD/symmetry spot checks at construction (default True).
+
+    Construction factors R_V0 and R_Z once each, which refuses a Gram that
+    is not SPD: ``v0_factor`` is the R_V0 factor every Riesz solve reads,
+    and ``gram_z_inv`` = R_Z^{-1} is solved from the R_Z factor.  For an
+    ``spd`` model each operator term is checked to be symmetric.
 
     Instances are immutable after construction and safe for shared
     read-only concurrent use; assembly allocates per-call state.
     """
 
     def __init__(self, A, b, L, gram_v0, gram_z, domain, symmetry, xi_ref,
-                 coercive_affine=False, validate=True):
+                 coercive_affine=False):
         if symmetry not in ("spd", "general"):
             raise ValueError("symmetry must be 'spd' or 'general'")
         for form, ndim, name in ((A, 2, "A"), (b, 1, "b"), (L, 2, "L")):
@@ -141,13 +143,9 @@ class FullOrderModel:
         self.coercive_affine = bool(coercive_affine)
         if self.xi_ref.shape != (domain.dim,):
             raise ValueError("xi_ref must have one entry per parameter component")
-        self._v0_factor = None
-        self._z_factor = None
         self._v0_ref_deviation = None
-        self._gram_z_inv = None
         self._theta_ref = None
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- shape helpers -------------------------------------------------
 
@@ -164,15 +162,15 @@ class FullOrderModel:
         return self.domain.dim
 
     def _validate(self):
-        # SPD checks by attempted factorization; the factors are kept
-        try:
-            self._v0_factor = Factorization(self.gram_v0, spd=True)
-        except FactorizationError as exc:
-            raise FactorizationError(f"gram_v0 is not SPD: {exc}") from exc
-        try:
-            self._z_factor = Factorization(self.gram_z, spd=True)
-        except FactorizationError as exc:
-            raise FactorizationError(f"gram_z is not SPD: {exc}") from exc
+        # R_V0 and R_Z are factored once each, which checks that they are SPD
+        factors = []
+        for name, G in (("gram_v0", self.gram_v0), ("gram_z", self.gram_z)):
+            try:
+                factors.append(Factorization(G, spd=True))
+            except FactorizationError as exc:
+                raise FactorizationError(f"{name} is not SPD: {exc}") from exc
+        self.v0_factor, z_factor = factors
+        self.gram_z_inv = z_factor.solve(np.eye(self.l))
         # per operator term: the reduced cache reads A_k^T X as A_k X
         for k, (_, M) in enumerate(self.A.terms if self.symmetry == "spd" else ()):
             num, den = _fro_norm(M - M.T), _fro_norm(M)
@@ -198,18 +196,6 @@ class FullOrderModel:
     # -- Gram / Riesz machinery ----------------------------------------
 
     @property
-    def v0_factor(self):
-        if self._v0_factor is None:
-            self._v0_factor = Factorization(self.gram_v0, spd=True)
-        return self._v0_factor
-
-    @property
-    def z_factor(self):
-        if self._z_factor is None:
-            self._z_factor = Factorization(self.gram_z, spd=True)
-        return self._z_factor
-
-    @property
     def v0_ref_deviation(self):
         """Relative Frobenius distance of R_V0 from A(xi_ref), computed once."""
         if self._v0_ref_deviation is None:
@@ -218,13 +204,6 @@ class FullOrderModel:
             num, den = _fro_norm(diff), _fro_norm(Aref)
             self._v0_ref_deviation = float(num / max(den, np.finfo(float).tiny))
         return self._v0_ref_deviation
-
-    @property
-    def gram_z_inv(self):
-        """R_Z^{-1} as a dense l x l array, computed once."""
-        if self._gram_z_inv is None:
-            self._gram_z_inv = la.inv(self.gram_z)
-        return self._gram_z_inv
 
     @property
     def theta_ref(self):
@@ -248,7 +227,8 @@ class FullOrderModel:
         return float(np.sqrt(max(s @ (self.gram_z @ s), 0.0)))
 
     def z_dual_norm(self, zp):
-        return float(np.sqrt(dual_norm_sq(zp, self.z_factor)))
+        zp = np.asarray(zp, dtype=float)
+        return float(np.sqrt(max(zp @ (self.gram_z_inv @ zp), 0.0)))
 
     def v_gram_at(self, xi):
         """Gram of the parameter-dependent state norm: A(xi) if spd, else R_V0."""

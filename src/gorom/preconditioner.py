@@ -32,6 +32,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.optimize import nnls
 
+from ._linalg import SpdFactor
 from .exceptions import GoromError
 
 __all__ = ["InverseInterpolant"]
@@ -143,11 +144,7 @@ class InverseInterpolant:
         G = self.gram @ thetas @ thetas
         h = self.h @ thetas
         if not self.positivity:
-            try:
-                return la.cho_solve(la.cho_factor(G), h)
-            except la.LinAlgError:
-                sol, *_ = la.lstsq(G, h)
-                return sol
+            return SpdFactor(G).solve(h)
         # NNLS on the Cholesky square root of the normal equations
         jitter = 1e-14 * max(np.trace(G), 1.0)
         shift, R = 0.0, None

@@ -274,7 +274,7 @@ def compliant_variant(model):
     return FullOrderModel(
         model.A, model.b, AffineForm(Lterms), model.gram_v0, np.eye(1),
         model.domain, symmetry=model.symmetry, xi_ref=model.xi_ref,
-        coercive_affine=model.coercive_affine, validate=False,
+        coercive_affine=model.coercive_affine,
     )
 
 

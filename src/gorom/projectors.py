@@ -30,7 +30,8 @@ blocks on first read:
   transposed block is the direct one.
 
 A point's blocks also keep the factors of their reduced matrices, so each
-matrix is factored once per point whichever route or estimate solves with it.
+matrix is factored once per point whichever route, estimate or constant
+solves with it.
 
 A route returns an :class:`OutputEstimate` that holds the blocks it read;
 the estimators of :mod:`gorom.estimators` take residual norms, Schur
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import CheckedLU, SpdFactor, as_columns, clip_nonneg, dense, solve_checked
+from ._linalg import CheckedLU, SpdFactor, as_columns, clip_nonneg, dense
 from .exceptions import ReducedSolveError
 from .problems import truth_solve
 from .spaces import DEFAULT_TOL_RANK, Basis, union_basis
@@ -112,9 +113,11 @@ class _Blocks:
     ``RTT``; ``LQ``, ``LXQ`` and ``LXT`` are the transposes of ``QL``,
     ``CQ`` and ``CT``.
 
-    The LU of ``WAV``, ``QAQ`` or ``KQ`` and the Cholesky factors of ``KQ``,
-    ``KT`` or ``RTT`` are computed on the first solve with them and kept,
-    keyed by block name (see :meth:`_factor`).
+    Each reduced matrix solved with has one factor per point, made on the
+    first solve with it and kept for every route, estimate and constant
+    that reads it (see :meth:`factor`): a checked LU of ``WAV`` and
+    ``QAQ``, a checked Cholesky of ``KQ``, and a Cholesky with the
+    least-squares fallback of ``KT`` and ``RTT``.
     """
 
     _aliases = {}
@@ -133,23 +136,20 @@ class _Blocks:
             self._theta[name] = getattr(self.model, name).coefficients_at(self.xi)
         return self._theta[name]
 
-    def _factor(self, name, kind):
-        """The ``"lu"`` (a checked :class:`CheckedLU`) or ``"cho"`` (an
-        :class:`SpdFactor` with the least-squares fallback) factors of block
-        ``name``, computed on first use and kept for the point."""
+    def factor(self, name):
+        """The factor of block ``name`` that :data:`_FACTORS` names, computed
+        on first use and kept for the point."""
         name = self._aliases.get(name, name)
-        factors = self._factors.get((name, kind))
-        if factors is None:
-            M = getattr(self, name)
-            factors = (CheckedLU(M, _LU_SYSTEMS[name]) if kind == "lu"
-                       else SpdFactor(M))
-            self._factors[name, kind] = factors
-        return factors
+        factor = self._factors.get(name)
+        if factor is None:
+            cls, what = _FACTORS[name]
+            factor = self._factors[name] = cls(getattr(self, name), what)
+        return factor
 
     # -- routes ------------------------------------------------------------
 
     def solve_primal(self):
-        U = self._factor("WAV", "lu").solve(self.Wb.ravel())
+        U = self.factor("WAV").solve(self.Wb.ravel())
         s = self.LV @ U if self.r else np.zeros(self.l)
         return OutputEstimate(np.asarray(s), "primal", primal_coeffs=U, blocks=self)
 
@@ -159,9 +159,9 @@ class _Blocks:
         if self.k == 0:
             return np.zeros(0), np.zeros(self.l)
         if self.spd:
-            Y = self._factor("QAQ", "lu").solve(rhs)
+            Y = self.factor("QAQ").solve(rhs)
             return Y, np.asarray(self.LQ @ Y)
-        Y = self._factor("KQ", "lu").solve(rhs)
+        Y = self.factor("KQ").solve(rhs)
         return Y, np.asarray(self.LXQ @ Y)
 
     def solve_dual_only(self):
@@ -201,7 +201,7 @@ class _Blocks:
         B = self.TAV
         big = np.block([[self.KT, B], [B.T, np.zeros((r, r))]])
         rhs = np.concatenate([self.Tb.ravel(), np.zeros(r)])
-        sol = solve_checked(big, rhs, "saddle block system")
+        sol = CheckedLU(big, "saddle block system").solve(rhs)
         Y, U = sol[:p], sol[p:]
         s = self.LV @ U + self.LXT @ Y
         return OutputEstimate(np.asarray(s), "saddle", primal_coeffs=U, dual_coeffs=Y,
@@ -237,7 +237,7 @@ class _Blocks:
         if self.p == 0:
             return np.sqrt(max(s0, 0.0))
         q = self.RTb.ravel()
-        val = s0 - float(q @ self._factor("RTT", "cho").solve(q))
+        val = s0 - float(q @ self.factor("RTT").solve(q))
         return np.sqrt(max(clip_nonneg(val, 1e-10), 0.0))
 
     def dual_schur(self, space="WQ"):
@@ -248,14 +248,14 @@ class _Blocks:
         if (self.k if space == "WQ" else self.p) == 0:
             return self.GLL
         K, C = ("KQ", self.CQ) if space == "WQ" else ("KT", self.CT)
-        return self.GLL - C.T @ self._factor(K, "cho").solve(C)
+        return self.GLL - C.T @ self.factor(K).solve(C)
 
     def pd_dual_matrix(self):
         """(L^* - A^* Q_k)-Gram in the R_V0 dual norm, as an l x l matrix."""
         if self.k == 0 or not self.spd:
             return self.dual_schur("WQ")
         K, C = self.KQ, self.CQ
-        qhat = self._factor("QAQ", "lu").solve(self.QL)
+        qhat = self.factor("QAQ").solve(self.QL)
         return self.GLL - C.T @ qhat - qhat.T @ C + qhat.T @ (K @ qhat)
 
 
@@ -346,7 +346,7 @@ def orthogonal_project(model, xi, V, u=None, gram="model"):
     GV = G @ Vc
     M = Vc.T @ GV
     rhs = GV.T @ u
-    return solve_checked(M, rhs, "orthogonal projection Gram system")
+    return CheckedLU(M, "orthogonal projection Gram system").solve(rhs)
 
 
 def petrov_galerkin_solve(model, xi, V, W=None):
@@ -558,9 +558,12 @@ _SPD_ALIASES = {"FAt_Q": "FA_Q", "FAt_T": "FA_T", "XT": "zA_T", "KT": "RTT"}
 # blocks read as the transpose of another block at the point
 _TRANSPOSES = {"LQ": "QL", "LXQ": "CQ", "LXT": "CT"}
 
-# the system each LU-factored block is, as its ReducedSolveError names it
-_LU_SYSTEMS = {"WAV": "Petrov-Galerkin reduced system",
-               "QAQ": "dual reduced system", "KQ": "dual reduced system"}
+# block -> (factor class, the system its ReducedSolveError names); None keeps
+# the least-squares fallback of an SpdFactor
+_FACTORS = {"WAV": (CheckedLU, "Petrov-Galerkin reduced system"),
+            "QAQ": (CheckedLU, "dual reduced system"),
+            "KQ": (SpdFactor, "dual reduced system"),
+            "KT": (SpdFactor, None), "RTT": (SpdFactor, None)}
 
 
 class _CachedBlocks(_Blocks):

@@ -60,3 +60,18 @@ def model_cache(which, spd_small, gen_small, spd_spaces, gen_spaces):
         for pt in model.domain.sample(2, np.random.default_rng(29)):
             P.add_point(pt)
     return model, V, WQ, P, ReducedCache(model, V, WQ, precond=P)
+
+
+@pytest.fixture
+def reduced_factors(monkeypatch):
+    """(kind, matrix) of every reduced factor made while the test runs: "lu"
+    for a CheckedLU, "cho" for an SpdFactor."""
+    from gorom import _linalg
+    made = []
+    for cls, kind in ((_linalg.CheckedLU, "lu"), (_linalg.SpdFactor, "cho")):
+        def init(self, M, what=None, _original=cls.__init__, _kind=kind):
+            made.append((_kind, np.array(M)))
+            _original(self, M, what)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    return made

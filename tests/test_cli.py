@@ -256,6 +256,34 @@ def test_stats_refuses_an_estimate_file_without_delta(workspace, tmp_path, capsy
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("case", ["other-points", "one-output", "three-outputs",
+                                  "non-numeric"])
+def test_stats_refuses_a_truth_file_that_does_not_match(workspace, tmp_path, capsys, case):
+    # rows are paired in order: the points and the output columns must match,
+    # and every cell read must be a number
+    ws = workspace
+    est = tmp_path / "delta.csv"
+    assert run("estimate", "--bundle", ws / "bundle", "--spaces", ws / "spaces",
+               "--method", "primal-dual", "--xi-file", ws / "truth.csv", "--out", est) == 0
+    truth = tmp_path / "truth.csv"
+    if case == "other-points":
+        assert run("truth", "--bundle", ws / "bundle", "--sample-count", "12",
+                   "--sample-seed", "12", "--out", truth) == 0
+    else:
+        header, rows = read_csv(ws / "truth.csv")
+        keep = {"one-output": 3, "three-outputs": 5}.get(case)  # xi1, xi2, s1..
+        if case == "non-numeric":
+            rows[4][3] = "n/a"
+        truth.write_text("".join(",".join(r[:keep]) + "\n" for r in [header] + rows))
+    capsys.readouterr()
+    assert run("stats", "--est", est, "--truth", truth,
+               "--out", tmp_path / "report.json") == 1
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0  # single-line diagnostic
+    assert "delta.csv" in err and "truth.csv" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_eval_refuses_spaces_of_another_bundle(workspace, tmp_path, capsys):
     ws = workspace
     assert run("generate", "--kind", "diffusion", "--n", "64", "--d", "2",

@@ -177,6 +177,26 @@ def test_degenerate_test_space_raises():
 
 @pytest.mark.parametrize("gram", ["model", "v0"])
 @pytest.mark.parametrize("which", ["spd", "general"])
+def test_compute_constants_factors_the_reduced_system_once(
+        which, gram, spd_small, gen_small, spd_spaces, gen_spaces, reduced_factors):
+    # delta_VW, alpha and delta_L solve with one factor of the point's blocks:
+    # S^T A S in the energy norm, K = (A^T S)^T R_V0^{-1} A^T S otherwise
+    from gorom.projectors import DirectBlocks
+    model, (V, WQ) = ((spd_small, spd_spaces) if which == "spd"
+                      else (gen_small, gen_spaces))
+    energy = gram == "model" and which == "spd"
+    for xi in model.domain.sample(2, np.random.default_rng(13)):
+        reduced_factors.clear()
+        compute_constants(model, xi, V, WQ, gram=gram)
+        d = DirectBlocks(model, xi, V=V, WQ=WQ)
+        assert len(reduced_factors) == 1
+        kind, M = reduced_factors[0]
+        assert kind == ("lu" if energy else "cho")
+        np.testing.assert_array_equal(M, d.QAQ if energy else d.KQ)
+
+
+@pytest.mark.parametrize("gram", ["model", "v0"])
+@pytest.mark.parametrize("which", ["spd", "general"])
 def test_compute_constants_assembles_the_operator_once(
         which, gram, spd_small, gen_small, spd_spaces, gen_spaces, monkeypatch):
     # one set of reduced blocks per point: A(xi) is assembled once, never

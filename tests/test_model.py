@@ -171,15 +171,44 @@ def test_model_rejects_non_spd_gram():
 
 def test_reduced_solve_condition_guard():
     from gorom import ReducedSolveError
-    from gorom._linalg import solve_checked
+    from gorom._linalg import CheckedLU
     M = np.diag([1.0, 1e-20])
     with pytest.raises(ReducedSolveError) as err:
-        solve_checked(M, np.ones(2), "test system")
+        CheckedLU(M, "test system").solve(np.ones(2))
     assert err.value.cond is not None and err.value.cond > 1e14
     assert "test system" in str(err.value)
-    out = solve_checked(np.eye(2), np.ones(2), "ok")
+    out = CheckedLU(np.eye(2), "ok").solve(np.ones(2))
     np.testing.assert_allclose(out, np.ones(2))
-    assert solve_checked(np.zeros((0, 0)), np.zeros(0), "empty").size == 0
+    assert CheckedLU(np.zeros((0, 0)), "empty").solve(np.zeros(0)).size == 0
+
+
+def test_checked_lu_refuses_an_exactly_singular_matrix_without_a_warning():
+    import warnings
+
+    from gorom import ReducedSolveError
+    from gorom._linalg import CheckedLU
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # scipy's LinAlgWarning must not escape
+        with pytest.raises(ReducedSolveError) as err:
+            CheckedLU(np.array([[1.0, 1.0], [1.0, 1.0]]), "test system")
+    assert err.value.cond == np.inf
+    assert str(err.value).startswith("test system:")
+    assert "\n" not in str(err.value)
+
+
+def test_named_spd_factor_is_checked_and_unnamed_falls_back():
+    from gorom import ReducedSolveError
+    from gorom._linalg import SpdFactor
+    M = np.diag([1.0, 1e-20])
+    with pytest.raises(ReducedSolveError) as err:
+        SpdFactor(M, "test system")
+    assert err.value.cond > 1e14 and "test system" in str(err.value)
+    with pytest.raises(ReducedSolveError, match="test system is not SPD"):
+        SpdFactor(-np.eye(2), "test system")
+    # unnamed: Cholesky where it succeeds, least squares where it fails
+    np.testing.assert_allclose(SpdFactor(M).solve(np.ones(2)), [1.0, 1e20])
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+    np.testing.assert_allclose(SpdFactor(singular).solve(np.ones(2)), [0.5, 0.5])
 
 
 def test_v_gram_selection(spd_small, gen_small):

@@ -513,40 +513,47 @@ def test_packed_gram_blocks_are_symmetric_and_match_all_pairs(
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
 
 
-@pytest.mark.parametrize("method", ["primal-dual", "saddle"])
-def test_spd_estimate_factors_each_reduced_matrix_once(method, spd_small, spd_spaces,
-                                                       monkeypatch):
-    from gorom import estimate_error, projectors
-    made = []
-
-    class CountingLU(projectors.CheckedLU):
-        def __init__(self, M, what):
-            made.append(("lu", M))
-            super().__init__(M, what)
-
-    class CountingSpd(projectors.SpdFactor):
-        def __init__(self, M, what=None):
-            made.append(("cho", M))
-            super().__init__(M, what)
-
-    monkeypatch.setattr(projectors, "CheckedLU", CountingLU)
-    monkeypatch.setattr(projectors, "SpdFactor", CountingSpd)
-    cache = ReducedCache(spd_small, *spd_spaces)
-    for xi in spd_small.domain.sample(3, np.random.default_rng(34)):
+@pytest.mark.parametrize("which,method", [("spd", "primal-dual"), ("spd", "saddle"),
+                                          ("general", "primal-dual"),
+                                          ("general", "saddle")])
+def test_estimate_factors_each_reduced_matrix_once(which, method, spd_small, gen_small,
+                                                   spd_spaces, gen_spaces, reduced_factors):
+    from gorom import estimate_error
+    model, _, _, _, cache = model_cache(which, spd_small, gen_small,
+                                        spd_spaces, gen_spaces)
+    made = reduced_factors
+    for xi in model.domain.sample(3, np.random.default_rng(34)):
         made.clear()
         sol = cache.solve(xi, method)
-        estimate_error(spd_small, sol)
+        estimate_error(model, sol)
         b = sol.blocks
 
         def count(kind, M):
             return sum(k == kind and np.array_equal(X, M) for k, X in made)
 
         assert len(made) == 2
-        if method == "primal-dual":  # dual correction and dual factor share QAQ
-            assert count("lu", b.QAQ) == 1 and count("lu", b.WAV) == 1
-        else:  # the saddle point reads TAT; the residual and dual factor RTT = KT
+        if method == "saddle" and which == "spd":
+            # the saddle point reads TAT; the residual and dual factor RTT = KT
             assert count("cho", b.RTT) == 1
             assert count("cho", 0.5 * (b.TAT + b.TAT.T)) == 1
+        elif method == "saddle":  # the block system, and KT for the dual factor
+            assert count("cho", b.KT) == 1 and [k for k, _ in made].count("lu") == 1
+        elif which == "spd":  # dual correction and dual factor share QAQ
+            assert count("lu", b.QAQ) == 1 and count("lu", b.WAV) == 1
+        else:  # dual correction and dual Schur complement share KQ
+            assert count("cho", b.KQ) == 1 and count("lu", b.WAV) == 1
+
+
+def test_general_primal_dual_refuses_a_rank_deficient_dual_space(gen_small, gen_spaces):
+    from gorom import ReducedSolveError
+    V, WQ = gen_spaces
+    Q = WQ.columns[:, :2].copy()
+    Q[:, 1] = Q[:, 0]  # K = (A^T WQ)^T R_V0^{-1} A^T WQ is singular
+    xi = gen_small.domain.sample(1, np.random.default_rng(37))[0]
+    with pytest.raises(ReducedSolveError, match="dual reduced system"):
+        primal_dual_solve(gen_small, xi, V, Q)
+    with pytest.raises(ReducedSolveError, match="dual reduced system"):
+        ReducedCache(gen_small, V, Q).solve_primal_dual(xi)
 
 
 def test_map_points_threads_give_bitwise_equal_estimates():
