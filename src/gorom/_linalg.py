@@ -56,40 +56,31 @@ class CheckedLU:
 
 
 class SpdFactor:
-    """Cholesky factor of a symmetric positive (semi)definite matrix.
+    """Checked Cholesky factor of a symmetric positive definite matrix.
 
-    A named factor (``what`` given) is a checked one: it raises
-    :class:`ReducedSolveError` naming ``what`` when M is not SPD or its
-    1-norm condition estimate (LAPACK ``pocon``) exceeds ``COND_LIMIT``.
-    An unnamed factor keeps M where Cholesky fails and solves by least
-    squares (the deflated normal equations of a quadratic minimization).
+    Raises :class:`ReducedSolveError` naming ``what`` when M is not SPD or
+    its 1-norm condition estimate (LAPACK ``pocon``) exceeds ``COND_LIMIT``.
+    ``U`` is the upper triangular factor, Fortran-ordered as LAPACK leaves it.
     """
 
-    def __init__(self, M, what=None):
+    def __init__(self, M, what):
         M = np.asarray(M, dtype=float)
-        self.n, self.U, self.M = M.shape[0], None, M
+        self.n = M.shape[0]
         if self.n == 0:
             return
         potrf, pocon, self._potrs = la.get_lapack_funcs(("potrf", "pocon", "potrs"), (M,))
-        U, info = potrf(M, lower=0, clean=0)
-        if what is None:
-            self.U = U if info == 0 else None
-            return
+        self.U, info = potrf(M, lower=0)
         if info != 0:
             raise ReducedSolveError(f"{what} is not SPD (leading minor {info} is not "
                                     "positive definite); model misuse?", cond=np.inf)
-        rcond, info = pocon(U, np.linalg.norm(M, 1))
+        rcond, info = pocon(self.U, np.linalg.norm(M, 1))
         _refuse_ill_conditioned(what, info, rcond)
-        self.U = U
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
         if self.n == 0:
             return np.zeros((0,) + rhs.shape[1:])
-        if self.U is not None:
-            return self._potrs(self.U, rhs, lower=0)[0]
-        sol, *_ = la.lstsq(self.M, rhs, check_finite=False)
-        return sol
+        return self._potrs(self.U, rhs, lower=0)[0]
 
 
 def _refuse_ill_conditioned(what, info, rcond):
@@ -110,12 +101,6 @@ def clip_unit(value, tol=1e-12):
         return 0.0
     if 1.0 < value <= 1.0 + tol:
         return 1.0
-    return value
-
-
-def clip_nonneg(value, tol=1e-12):
-    if -tol * max(1.0, abs(value)) <= value < 0.0:
-        return 0.0
     return value
 
 

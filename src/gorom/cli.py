@@ -164,8 +164,11 @@ def _xi_header(d):
 def cmd_generate(args):
     kind = {"diffusion": "diffusion-spd",
             "advection-diffusion": "advection-diffusion"}[args.kind]
-    cfg = ProblemConfig(n=args.n, d=args.d, l=args.l, seed=args.seed, kind=kind)
-    model = make_problem(cfg)
+    try:
+        model = make_problem(ProblemConfig(n=args.n, d=args.d, l=args.l,
+                                           seed=args.seed, kind=kind))
+    except ValueError as exc:
+        raise GoromError(f"invalid problem settings: {exc}") from None
     store_bundle(model, args.out)
     cfg_echo = {"kind": args.kind, "n": args.n, "d": args.d,
                 "l": args.l, "seed": args.seed}
@@ -176,11 +179,14 @@ def cmd_generate(args):
 
 def cmd_offline(args):
     model = load_bundle(args.bundle)
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    if args.precond:
-        raw["precondition"] = True
-    cfg = GreedyConfig.from_dict(raw)
+    try:
+        with open(args.config) as fh:
+            raw = json.load(fh)
+        if args.precond:
+            raw["precondition"] = True
+        cfg = GreedyConfig.from_dict(raw)
+    except (ValueError, TypeError) as exc:
+        raise GoromError(f"{args.config}: invalid greedy config: {exc}") from None
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
@@ -386,9 +392,22 @@ def cmd_compare(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _at_least(low):
+    """An argparse type: an integer no smaller than ``low``."""
+    def count(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected at least {low}, not {text}")
+        return int(text)
+    return count
+
+
+# map_points leaves the pool size to ThreadPoolExecutor when --threads is absent
+_POOL_DEFAULT = "default: min(32, cores + 4), the thread pool's own"
+
+
 def _add_xi_args(p):
     p.add_argument("--xi-file", help="CSV with columns xi1..xid")
-    p.add_argument("--sample-count", type=int, default=0,
+    p.add_argument("--sample-count", type=_at_least(0), default=0,
                    help="draw this many points from the parameter domain")
     p.add_argument("--sample-seed", type=int, default=0)
 
@@ -417,7 +436,7 @@ def build_parser():
     p.add_argument("--precond", action="store_true",
                    help="enable the operator-inverse interpolant "
                         "(config key precondition)")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_at_least(1), default=None,
                    help="worker threads for the estimate sweep (default: serial)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_offline)
@@ -425,8 +444,8 @@ def build_parser():
     p = sub.add_parser("truth", help="full-order outputs at sample points")
     p.add_argument("--bundle", required=True)
     _add_xi_args(p)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for per-point work (default: cores)")
+    p.add_argument("--threads", type=_at_least(1), default=None,
+                   help=f"worker threads for per-point work ({_POOL_DEFAULT})")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_truth)
 
@@ -435,8 +454,8 @@ def build_parser():
     p.add_argument("--spaces", required=True)
     p.add_argument("--method", choices=METHODS, required=True)
     _add_xi_args(p)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for per-point solves (default: cores)")
+    p.add_argument("--threads", type=_at_least(1), default=None,
+                   help=f"worker threads for per-point solves ({_POOL_DEFAULT})")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -456,8 +475,8 @@ def build_parser():
     p.add_argument("--alpha", choices=("auto", "min-theta", "none"),
                    default="auto")
     _add_xi_args(p)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for per-point work (default: cores)")
+    p.add_argument("--threads", type=_at_least(1), default=None,
+                   help=f"worker threads for per-point work ({_POOL_DEFAULT})")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 
@@ -473,8 +492,8 @@ def build_parser():
     p.add_argument("--bundle", required=True)
     p.add_argument("--spaces", required=True)
     _add_xi_args(p)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for per-point work (default: cores)")
+    p.add_argument("--threads", type=_at_least(1), default=None,
+                   help=f"worker threads for per-point work ({_POOL_DEFAULT})")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 
@@ -486,7 +505,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GoromError as exc:
+    except (GoromError, OSError) as exc:
         print(f"gorom {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -70,7 +70,6 @@ class GreedyConfig:
     precond_sketch: int = 400
     precond_seed: int = 13
     precond_positivity: bool = True
-    tol_rank: float = 1e-10
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -185,8 +184,8 @@ def run_greedy(model, cfg, threads=None):
     enrichment, and the trace are identical to the serial run.
     """
     train = _training_set(model, cfg)
-    V = Basis(model.gram_v0, model.n, cfg.tol_rank, name="V")
-    WQ = Basis(model.gram_v0, model.n, cfg.tol_rank, name="WQ")
+    V = Basis(model.gram_v0, model.n, name="V")
+    WQ = Basis(model.gram_v0, model.n, name="WQ")
     precond = None
     if cfg.precondition:
         precond = InverseInterpolant(model, cfg.precond_sketch,

@@ -30,7 +30,6 @@ import threading
 
 import numpy as np
 import scipy.linalg as la
-from scipy.optimize import nnls
 
 from ._linalg import SpdFactor
 from .exceptions import GoromError
@@ -138,25 +137,20 @@ class InverseInterpolant:
 
     def fit(self, thetas):
         """Interpolation weights at a point whose operator coefficients
-        theta_k are ``thetas`` (empty array when m = 0)."""
+        theta_k are ``thetas`` (empty array when m = 0).  One checked factor
+        G = R^T R serves both settings: G lambda = h, or with positivity NNLS
+        on || R lambda - R^{-T} h ||.  A G singular to working precision
+        raises the ReducedSolveError of the "interpolation weight system"."""
         if self.m == 0:
             return np.zeros(0)
         G = self.gram @ thetas @ thetas
         h = self.h @ thetas
+        factor = SpdFactor(G, "interpolation weight system")
         if not self.positivity:
-            return SpdFactor(G).solve(h)
-        # NNLS on the Cholesky square root of the normal equations
-        jitter = 1e-14 * max(np.trace(G), 1.0)
-        shift, R = 0.0, None
-        while R is None:
-            try:
-                R = la.cholesky(G + shift * np.eye(self.m))
-            except la.LinAlgError:
-                shift = jitter if shift == 0.0 else shift * 100.0
-                if shift > 1e-4 * max(np.trace(G), 1.0):
-                    raise
-        y = la.solve_triangular(R, h, trans="T")
-        lam, _ = nnls(R, y)
+            return factor.solve(h)
+        from scipy.optimize import nnls  # a slow import only this branch needs
+        R = factor.U
+        lam, _ = nnls(R, la.solve_triangular(R, h, trans="T"))
         return lam
 
     def sketched_objective(self, xi, lam=None):

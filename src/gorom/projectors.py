@@ -44,10 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import CheckedLU, SpdFactor, as_columns, clip_nonneg, dense
+from ._linalg import CheckedLU, SpdFactor, as_columns, dense
 from .exceptions import ReducedSolveError
 from .problems import truth_solve
-from .spaces import DEFAULT_TOL_RANK, Basis, union_basis
+from .spaces import union_basis
 
 __all__ = [
     "OutputEstimate",
@@ -116,8 +116,9 @@ class _Blocks:
     Each reduced matrix solved with has one factor per point, made on the
     first solve with it and kept for every route, estimate and constant
     that reads it (see :meth:`factor`): a checked LU of ``WAV`` and
-    ``QAQ``, a checked Cholesky of ``KQ``, and a Cholesky with the
-    least-squares fallback of ``KT`` and ``RTT``.
+    ``QAQ`` and a checked Cholesky of ``KQ``, ``KT`` and ``RTT``, each
+    raising the :class:`ReducedSolveError` that names its system when the
+    matrix is singular to working precision (a T with dependent columns).
     """
 
     _aliases = {}
@@ -229,7 +230,7 @@ class _Blocks:
         if self.r == 0 or U is None or U.size == 0:
             return np.sqrt(max(s0, 0.0))
         val = float(U @ (self.RAA @ U) - 2.0 * (self.RAb.ravel() @ U) + s0)
-        return np.sqrt(max(clip_nonneg(val, 1e-10), 0.0))
+        return np.sqrt(max(val, 0.0))
 
     def min_residual_over_T(self):
         """min over t in T of || A t - b || in the R_V0 dual norm."""
@@ -238,7 +239,7 @@ class _Blocks:
             return np.sqrt(max(s0, 0.0))
         q = self.RTb.ravel()
         val = s0 - float(q @ self.factor("RTT").solve(q))
-        return np.sqrt(max(clip_nonneg(val, 1e-10), 0.0))
+        return np.sqrt(max(val, 0.0))
 
     def dual_schur(self, space="WQ"):
         """G_LL - C^T K^{-1} C over WQ or T: the Gram of the dual-residual
@@ -509,8 +510,7 @@ _GROUPS = {
     "FAt_Q": lambda c, g: _family(c.model, "A", c.WQc, transpose=True),
     "b": lambda c, g: _family(c.model, "b"),
     "FL": lambda c, g: _family(c.model, "L"),
-    "T": lambda c, g: union_basis([c.Vc, c.WQc], gram=c.model.gram_v0,
-                                  tol_rank=c.tol_rank, name="T"),
+    "T": lambda c, g: union_basis([c.Vc, c.WQc], gram=c.model.gram_v0, name="T"),
     "FA_T": lambda c, g: _family(c.model, "A", g("T").columns),
     "FAt_T": lambda c, g: _family(c.model, "A", g("T").columns, transpose=True),
     # test-space images Y_i = A(xi_i)^{-T} R_V0 V: W(xi) = sum_i lambda_i Y_i
@@ -558,12 +558,12 @@ _SPD_ALIASES = {"FAt_Q": "FA_Q", "FAt_T": "FA_T", "XT": "zA_T", "KT": "RTT"}
 # blocks read as the transpose of another block at the point
 _TRANSPOSES = {"LQ": "QL", "LXQ": "CQ", "LXT": "CT"}
 
-# block -> (factor class, the system its ReducedSolveError names); None keeps
-# the least-squares fallback of an SpdFactor
+# block -> (factor class, the system its ReducedSolveError names)
 _FACTORS = {"WAV": (CheckedLU, "Petrov-Galerkin reduced system"),
             "QAQ": (CheckedLU, "dual reduced system"),
             "KQ": (SpdFactor, "dual reduced system"),
-            "KT": (SpdFactor, None), "RTT": (SpdFactor, None)}
+            "KT": (SpdFactor, "saddle dual system"),
+            "RTT": (SpdFactor, "saddle residual system")}
 
 
 class _CachedBlocks(_Blocks):
@@ -620,11 +620,6 @@ class ReducedCache:
         Drives the parameter-dependent test space of general models; ignored
         as a test space for spd models (Galerkin is optimal there).
 
-    T = V + WQ drops directions with the rank tolerance of the bases that
-    span it (the larger one if V and WQ differ), so it is the T that a
-    greedy run with those bases builds; plain arrays count as
-    ``DEFAULT_TOL_RANK``.
-
     Each block group is built on its first use, under a per-cache lock, so a
     route builds only what it reads and pool threads can share one cache.
     The spaces are fixed; build a new cache after every enrichment.
@@ -636,8 +631,6 @@ class ReducedCache:
         self.Vc = as_columns(V) if V is not None else np.zeros((n, 0))
         self.WQc = as_columns(WQ) if WQ is not None else np.zeros((n, 0))
         self.precond = precond
-        self.tol_rank = max([X.tol_rank for X in (V, WQ) if isinstance(X, Basis)],
-                            default=DEFAULT_TOL_RANK)
         self.r, self.k = self.Vc.shape[1], self.WQc.shape[1]
         self._spd = model.symmetry == "spd"
         # a general model with interpolation points gets the test space
@@ -687,8 +680,7 @@ class ReducedCache:
             # from the stored factorizations and the cached R_V0 factor; the
             # solution carries the DirectBlocks at xi, which its estimate reads
             W = blocks.Ys if self.r else np.zeros((self.model.n, 0))
-            T = union_basis([W, self.WQc], gram=self.model.gram_v0,
-                            tol_rank=self.tol_rank, name="T")
+            T = union_basis([W, self.WQc], gram=self.model.gram_v0, name="T")
             blocks = DirectBlocks(self.model, xi, V=self.Vc, T=T)
         return blocks.solve_saddle_spd() if self._spd else blocks.solve_saddle_general()
 

@@ -4,8 +4,10 @@ Every basis is orthonormal with respect to one fixed SPD Gram matrix
 (in practice the parameter-independent R_V0); parameter-dependent norms
 enter the projectors, never the stored bases.  Appends run classical
 Gram-Schmidt twice and reject vectors whose deflated norm falls below
-``tol_rank`` times the incoming norm, which keeps reduced systems
-well conditioned.
+``TOL_RANK`` times the incoming norm.  The threshold is one module
+constant, so every basis and every sum of bases deflate alike; a reduced
+system that is still near singular is refused by its checked factor (see
+:mod:`gorom._linalg`).
 """
 
 import json
@@ -18,18 +20,17 @@ from .exceptions import GoromError
 
 __all__ = ["Basis", "union_basis"]
 
-DEFAULT_TOL_RANK = 1e-10
+TOL_RANK = 1e-10
 
 
 class Basis:
     """Append-only matrix of G-orthonormal columns spanning a reduced space."""
 
-    def __init__(self, gram, n=None, tol_rank=DEFAULT_TOL_RANK, name=""):
+    def __init__(self, gram, n=None, name=""):
         self.gram = gram
         if n is None:
             n = gram.shape[0]
         self._cols = np.zeros((n, 0))
-        self.tol_rank = float(tol_rank)
         self.name = name
 
     @property
@@ -48,7 +49,7 @@ class Basis:
         return view
 
     def copy(self):
-        out = Basis(self.gram, self.n, self.tol_rank, self.name)
+        out = Basis(self.gram, self.n, self.name)
         out._cols = self._cols.copy()
         return out
 
@@ -77,7 +78,7 @@ class Basis:
             if self.dim:
                 w -= self._cols @ (self._cols.T @ self._gdot(w))
         norm_out = self.gram_norm(w)
-        if norm_out <= self.tol_rank * norm_in:
+        if norm_out <= TOL_RANK * norm_in:
             return False
         self._cols = np.column_stack([self._cols, w / norm_out])
         return True
@@ -102,7 +103,6 @@ class Basis:
             "n": int(self.n),
             "dim": int(self.dim),
             "gram": "R_V0",
-            "tol_rank": self.tol_rank,
         }
         with open(path.with_suffix(".json"), "w") as fh:
             json.dump(manifest, fh, indent=1)
@@ -110,10 +110,12 @@ class Basis:
 
     @classmethod
     def load(cls, path, gram):
+        """Read a basis written by :meth:`save`.  Manifest keys it does not
+        read, such as the rank tolerance of older manifests, are ignored."""
         path = Path(path)
         with open(path.with_suffix(".json")) as fh:
             manifest = json.load(fh)
-        basis = cls(gram, manifest["n"], manifest["tol_rank"], manifest.get("name", ""))
+        basis = cls(gram, manifest["n"], manifest.get("name", ""))
         if basis.n != gram.shape[0]:
             raise GoromError(f"{path} holds vectors of size {basis.n}, not the "
                              f"{gram.shape[0]} of this model; re-run gorom offline")
@@ -128,7 +130,7 @@ class Basis:
         return f"Basis(name={self.name!r}, n={self.n}, dim={self.dim})"
 
 
-def union_basis(parts, gram, tol_rank=DEFAULT_TOL_RANK, name=""):
+def union_basis(parts, gram, name=""):
     """``gram``-orthonormal basis of the sum of spaces.
 
     ``parts`` is a sequence of Basis instances or column matrices; columns
@@ -139,7 +141,7 @@ def union_basis(parts, gram, tol_rank=DEFAULT_TOL_RANK, name=""):
         raise ValueError("union_basis needs at least one part")
     first = parts[0]
     n = first.n if isinstance(first, Basis) else np.asarray(first).shape[0]
-    out = Basis(gram, n, tol_rank, name=name)
+    out = Basis(gram, n, name=name)
     for p in parts:
         cols = p.columns if isinstance(p, Basis) else np.asarray(p, dtype=float)
         if cols.ndim == 1:

@@ -470,3 +470,79 @@ def test_online_commands_keep_no_point_blocks(workspace, tmp_path, monkeypatch,
     assert run(command, "--bundle", ws / "bundle", "--spaces", ws / "spaces",
                "--method", "saddle", "--xi-file", ws / "truth.csv",
                "--out", tmp_path / "out.csv") == 0
+
+
+_ONLINE = {"eval": ["--method", "primal"], "estimate": ["--method", "primal-dual"],
+           "compare": []}
+
+
+@pytest.mark.parametrize("command, flag, value",
+                         [(c, "--threads", v) for c in ("truth", "eval", "estimate",
+                                                        "compare", "offline")
+                          for v in ("0", "-1")]
+                         + [("truth", "--sample-count", "-3")])
+def test_parser_refuses_counts_out_of_range(workspace, tmp_path, capsys, command, flag,
+                                            value):
+    ws = workspace
+    if command == "offline":
+        args = ["--config", ws / "greedy.json"]
+    else:
+        args = ["--xi-file", ws / "truth.csv"]
+        if command in _ONLINE:
+            args += ["--spaces", ws / "spaces"] + _ONLINE[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--bundle", ws / "bundle", *args, flag, value,
+            "--out", tmp_path / "out")
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected at least" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_CONFIGS = {"config-json": "{", "config-max-iter": '{"max_iter": 0}',
+            "config-method": '{"method": "foo"}', "config-type": '{"max_iter": "x"}'}
+
+
+@pytest.mark.parametrize("case", ["generate-n", "generate-l", "generate-d",
+                                  "config-missing", *_CONFIGS, "xi-file", "spaces",
+                                  "stats-est"])
+def test_bad_input_exits_with_one_line(workspace, tmp_path, capsys, case):
+    ws = workspace
+    config = tmp_path / "greedy.json"
+    if case in _CONFIGS:
+        config.write_text(_CONFIGS[case])
+    online = ["eval", "--bundle", ws / "bundle", "--method", "primal"]
+    argv, named = {
+        "generate-n": (["generate", "--n", "10"], "n must be at least 16"),
+        "generate-l": (["generate", "--l", "500"], "l=500"),
+        "generate-d": (["generate", "--d", "0"], "d must be in"),
+        "xi-file": (online + ["--spaces", ws / "spaces", "--xi-file",
+                              tmp_path / "nope.csv"], "nope.csv"),
+        "spaces": (online + ["--spaces", tmp_path / "nope", "--xi-file",
+                             ws / "truth.csv"], "nope"),
+        "stats-est": (["stats", "--est", tmp_path / "nope.csv", "--truth",
+                       ws / "truth.csv"], "nope.csv"),
+    }.get(case, (["offline", "--bundle", ws / "bundle", "--config", config],
+                 str(config)))
+    capsys.readouterr()
+    assert run(*argv, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0  # single-line diagnostic
+    assert named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the interpolant fit with positivity needs nnls; the other
+    # commands must not pay for importing scipy.optimize
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import gorom
+    src = str(Path(gorom.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, gorom.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -196,19 +196,20 @@ def test_checked_lu_refuses_an_exactly_singular_matrix_without_a_warning():
     assert "\n" not in str(err.value)
 
 
-def test_named_spd_factor_is_checked_and_unnamed_falls_back():
+def test_spd_factor_refuses_singular_or_indefinite_matrices():
+    # every SpdFactor is checked and names its system; none falls back to
+    # a least-squares answer
     from gorom import ReducedSolveError
     from gorom._linalg import SpdFactor
-    M = np.diag([1.0, 1e-20])
-    with pytest.raises(ReducedSolveError) as err:
-        SpdFactor(M, "test system")
-    assert err.value.cond > 1e14 and "test system" in str(err.value)
-    with pytest.raises(ReducedSolveError, match="test system is not SPD"):
-        SpdFactor(-np.eye(2), "test system")
-    # unnamed: Cholesky where it succeeds, least squares where it fails
-    np.testing.assert_allclose(SpdFactor(M).solve(np.ones(2)), [1.0, 1e20])
-    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-    np.testing.assert_allclose(SpdFactor(singular).solve(np.ones(2)), [0.5, 0.5])
+    with pytest.raises(TypeError):
+        SpdFactor(np.eye(2))
+    for M in (np.diag([1.0, 1e-20]), np.array([[1.0, 1.0], [1.0, 1.0]]), -np.eye(2)):
+        with pytest.raises(ReducedSolveError) as err:
+            SpdFactor(M, "test system")
+        assert err.value.cond > 1e14 and str(err.value).startswith("test system")
+        assert "\n" not in str(err.value)
+    np.testing.assert_allclose(SpdFactor(np.diag([4.0, 1.0]), "test system")
+                               .solve(np.ones(2)), [0.25, 1.0])
 
 
 def test_v_gram_selection(spd_small, gen_small):

@@ -10,6 +10,7 @@ from gorom import (
     GoromError,
     InverseInterpolant,
     ProblemConfig,
+    ReducedSolveError,
     make_advection_diffusion_problem,
 )
 
@@ -275,6 +276,20 @@ def test_from_dict_refuses_bad_records(model, edit, message):
     with pytest.raises(GoromError, match=message) as exc:
         InverseInterpolant.from_dict(model, json.loads(json.dumps(d)))
     assert "re-run gorom offline" in str(exc.value)
+
+
+@pytest.mark.parametrize("positivity", [True, False])
+def test_fit_refuses_a_record_with_two_equal_points(model, positivity):
+    # equal points give a singular weight system: refused, where a jittered
+    # Cholesky or least squares used to give weights
+    d = json.loads(json.dumps(_interpolant(model, 1, positivity).to_dict()))
+    d["points"] *= 2
+    d["gram"] = [[d["gram"][0][0]] * 2] * 2
+    d["h"] *= 2
+    P = InverseInterpolant.from_dict(model, d)
+    xi = model.domain.sample(1, np.random.default_rng(21))[0]
+    with pytest.raises(ReducedSolveError, match="interpolation weight system"):
+        P.coefficients(xi)
 
 
 def test_loaded_interpolant_factorizes_once_under_concurrent_first_use(model, monkeypatch):

@@ -556,6 +556,25 @@ def test_general_primal_dual_refuses_a_rank_deficient_dual_space(gen_small, gen_
         ReducedCache(gen_small, V, Q).solve_primal_dual(xi)
 
 
+@pytest.mark.parametrize("which", ["spd", "general"])
+def test_saddle_grams_over_dependent_columns_are_refused(which, spd_small, gen_small,
+                                                         spd_spaces, gen_spaces):
+    # a repeated column of T makes RTT and KT singular; their checked factors
+    # refuse them where a least-squares fallback used to give an answer
+    from gorom import ReducedSolveError
+    from gorom.projectors import DirectBlocks
+    model, V, _, _, _ = model_cache(which, spd_small, gen_small, spd_spaces, gen_spaces)
+    T = np.column_stack([V.columns, V.columns[:, 0]])
+    xi = model.domain.sample(1, np.random.default_rng(38))[0]
+    blocks = DirectBlocks(model, xi, V=V, T=T)
+    if which == "spd":
+        with pytest.raises(ReducedSolveError, match="saddle residual system"):
+            blocks.min_residual_over_T()
+    else:
+        with pytest.raises(ReducedSolveError, match="saddle dual system"):
+            blocks.dual_schur("T")
+
+
 def test_map_points_threads_give_bitwise_equal_estimates():
     # large enough (n >= 400, p >= 100) that the block contractions are
     # GEMVs a multi-threaded BLAS splits over its threads
@@ -634,20 +653,3 @@ def test_cache_refuses_points_outside_the_domain(which, spd_small, gen_small,
                 cache.solve(xi, method)
         with pytest.raises(DomainError):
             cache.primal_residual_norm(xi, np.ones(cache.r))
-
-
-def test_cache_takes_the_rank_tolerance_of_its_bases(spd_small, spd_spaces):
-    # T = V + WQ drops the directions that union_basis drops at the bases'
-    # own tolerance, as in a greedy run that built these bases
-    model = spd_small
-    V0, WQ0 = spd_spaces
-    V = Basis(model.gram_v0, model.n, tol_rank=1e-6, name="V")
-    V.extend(V0.columns[:, :2])
-    WQ = Basis(model.gram_v0, model.n, tol_rank=1e-6, name="WQ")
-    WQ.append(WQ0.columns[:, 0])
-    assert WQ.append(V.columns[:, 0] + 1e-8 * WQ0.columns[:, 1])
-    expected = union_basis([V, WQ], gram=model.gram_v0, tol_rank=1e-6).dim
-    assert expected == 3
-    assert ReducedCache(model, V, WQ).p == expected
-    # plain arrays take the default tolerance, which keeps the 1e-8 direction
-    assert ReducedCache(model, V.columns, WQ.columns).p == 4
