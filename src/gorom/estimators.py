@@ -13,7 +13,10 @@ and optionally precondition the primal residual with an interpolated
 operator inverse; these are not certified and are tagged as such, and
 :func:`estimate_error` picks one of the two.  Every estimate reads the
 point, the route and the reduced blocks from the solution it bounds, so no
-block the solve contracted is contracted again.
+block the solve contracted is contracted again.  This module keeps only the
+rules (which alpha, which dual Gram, certified or surrogate): the residual
+norms, the full-order residual of a general saddle point and its
+preconditioned norm come from the solution's blocks.
 """
 
 from dataclasses import dataclass
@@ -109,12 +112,6 @@ def _record(sol, pf, df, alpha, method, certified):
     )
 
 
-def _saddle_residual(sol):
-    """b - A t at the saddle point t of a general saddle solution."""
-    blocks = sol.blocks
-    return np.ravel(blocks.b) - blocks.A @ blocks.saddle_point(sol)
-
-
 def estimate_primal_dual(model, sol, alpha):
     """Certified estimate: primal residual x dual operator norm / alpha."""
     if alpha is None:
@@ -129,7 +126,7 @@ def estimate_saddle(model, sol, alpha):
     if alpha is None:
         raise UnsupportedModelError(_NO_ALPHA)
     pf = (sol.blocks.min_residual_over_T() if model.symmetry == "spd"
-          else model.v0_dual_norm(_saddle_residual(sol)))
+          else sol.blocks.residual_norm(sol))
     df = _dual_sup(model, sol.blocks.dual_schur("T"))
     return _record(sol, pf, df, float(alpha), "saddle", True)
 
@@ -141,19 +138,13 @@ def estimate_preconditioned(model, sol, precond=None):
     back to R_V0^{-1}, so the primal factor is the plain residual dual
     norm; the record is tagged non-certified either way.
     """
-    blocks = sol.blocks
-    if sol.method == "primal-dual":
-        resid = blocks.residual_vector(sol.primal_coeffs)
-        df = _dual_sup(model, blocks.pd_dual_matrix())
-    elif sol.method == "saddle":
-        resid = _saddle_residual(sol)
-        df = _dual_sup(model, blocks.dual_schur("T"))
-    else:
+    if sol.method not in ("primal-dual", "saddle"):
         raise ValueError(f"no estimate for method {sol.method!r}")
-    x = (precond.apply(blocks.xi, resid) if precond is not None
-         else model.riesz_v0(resid))
+    blocks = sol.blocks
+    df = _dual_sup(model, blocks.pd_dual_matrix() if sol.method == "primal-dual"
+                   else blocks.dual_schur("T"))
     m = precond.m if precond is not None else 0
-    return _record(sol, model.v0_norm(x), df, None,
+    return _record(sol, blocks.residual_norm(sol, precond), df, None,
                    f"{sol.method}-surrogate[m={m}]", False)
 
 

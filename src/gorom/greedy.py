@@ -36,7 +36,8 @@ trace.json schema (written by ``GreedyTrace.save``)::
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -72,15 +73,27 @@ class GreedyConfig:
     precond_positivity: bool = True
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        kinds = {int: numbers.Integral, float: numbers.Real, bool: bool}
+        for f in fields(self):
+            value, kind = getattr(self, f.name), kinds.get(f.type)
+            if kind and (not isinstance(value, kind)
+                         or isinstance(value, bool) and f.type is not bool):
+                raise TypeError(f"{f.name} must be of type {f.type.__name__}, not {value!r}")
+        for name, low in (("max_iter", 1), ("precond_sketch", 1), ("train_seed", 0),
+                          ("precond_seed", 0), ("stop_threshold", 0)):
+            if not getattr(self, name) >= low:  # refuses a NaN threshold too
+                raise ValueError(f"{name} must be at least {low}")
         if self.enrichment not in ("full", "partial"):
             raise ValueError(f"unknown enrichment {self.enrichment!r}")
         if self.schedule not in ("simultaneous", "alternate"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.method not in ("primal-dual", "saddle"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.train_points is None and self.train_count < 1:
+        if self.train_points is not None:
+            points = np.asarray(self.train_points, dtype=float)
+            if points.ndim != 2 or len(points) == 0:
+                raise ValueError("train_points must be a nonempty list of points")
+        elif self.train_count < 1:
             raise ValueError("training set must be nonempty")
 
     def to_dict(self):
@@ -137,12 +150,6 @@ class GreedyTrace:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=1)
             fh.write("\n")
-
-    @classmethod
-    def from_dict(cls, d):
-        trace = cls(config=d["config"], aborted=d.get("aborted"))
-        trace.iterations = [GreedyIteration(**it) for it in d["iterations"]]
-        return trace
 
 
 @dataclass

@@ -15,15 +15,18 @@ normal equations are affine in theta (Zahm & Nouy 2016):
 
 ``add_point`` extends the parameter-independent tensors ``gram`` and ``h``
 once per point, so a coefficient fit costs O(m^2 Q^2) plus one m x m solve
-and never touches an n-sized array.  Only the sketched objective and
-``add_point`` read the blocks themselves.  An interpolant loaded with
-:meth:`from_dict` factorizes its points on the first read of
-``factorizations`` (``apply``, ``apply_adjoint``, the test-space images) and
-solves the blocks again on their first read.
+and never touches an n-sized array.  ``apply`` and ``apply_adjoint`` take
+the fitted weights, so a caller fits once per point and applies as often as
+it needs.  Only the sketched objective and ``add_point`` read the blocks
+themselves.  An interpolant loaded with :meth:`from_dict` factorizes its
+points on the first read of ``factorizations`` (``apply``,
+``apply_adjoint``, the test-space images) and solves the blocks again on
+their first read.
 
 With no points, P_0 = R_V0^{-1} by convention, which turns the derived
-test space back into the trial space (standard Galerkin) and the
-preconditioned residual norm into the plain R_V0 dual norm.
+test space back into the trial space (standard Galerkin), the
+preconditioned residual norm into the plain R_V0 dual norm and the sketched
+objective into || R_V0^{-1} A(xi) Omega - Omega ||_F.
 """
 
 import threading
@@ -58,7 +61,7 @@ class InverseInterpolant:
         # stacks[i][k] = B_ik = A(xi_i)^{-1} A^(k) Omega, one (Q, n, s) array
         # per point; None until first read after from_dict
         self._stacks = []
-        self._sketch_images = _term_images(model, self.omega)
+        self._sketch_images = [np.asarray(term @ self.omega) for _, term in model.A.terms]
         self._riesz_images = None
 
     @property
@@ -154,62 +157,51 @@ class InverseInterpolant:
         return lam
 
     def sketched_objective(self, xi, lam=None):
-        """Frobenius norm of the sketched residual at the given weights."""
-        if lam is None:
-            lam = self.coefficients(xi)
+        """|| (P_m(xi) A(xi) - I) Omega ||_F at the weights ``lam``, by default
+        those fitted at xi; with no points, P_0 = R_V0^{-1}."""
         if self.m == 0:
-            return float(np.linalg.norm(self.omega))
-        images = self._sketched_images_at(xi)
-        acc = sum(li * Mi for li, Mi in zip(lam, images)) - self.omega
-        return float(np.linalg.norm(acc))
-
-    def residual_objective(self, xi):
-        """Sketched norm of (P_m(xi) A(xi) - I) Omega at the fitted weights.
-
-        With no points yet, P_0 = R_V0^{-1} per the convention, so the
-        objective is || R_V0^{-1} A(xi) Omega - Omega ||_F.
-        """
-        if self.m > 0:
-            return self.sketched_objective(xi)
-        if self._riesz_images is None:
-            self._riesz_images = [self.model.riesz_v0(img)
-                                  for img in self._sketch_images]
-        thetas = self.model.A.coefficients_at(xi)
-        M = sum(t * img for t, img in zip(thetas, self._riesz_images))
-        return float(np.linalg.norm(M - self.omega))
+            if self._riesz_images is None:
+                self._riesz_images = [self.model.riesz_v0(img)
+                                      for img in self._sketch_images]
+            thetas = self.model.A.coefficients_at(xi)
+            acc = sum(t * img for t, img in zip(thetas, self._riesz_images))
+        else:
+            lam = self.coefficients(xi) if lam is None else lam
+            acc = sum(li * Mi for li, Mi in zip(lam, self._sketched_images_at(xi)))
+        return float(np.linalg.norm(acc - self.omega))
 
     def add_greedy_points(self, candidates, count):
         """Grow the interpolant where its sketched residual is largest.
 
         At each of ``count`` rounds the candidate maximizing
-        :meth:`residual_objective` is factorized and added (nested point
+        :meth:`sketched_objective` is factorized and added (nested point
         sets; deterministic given the candidate order).  Returns the
         points actually added.
         """
         candidates = np.asarray(candidates, dtype=float)
         added = []
         for _ in range(count):
-            vals = [self.residual_objective(xi) for xi in candidates]
+            vals = [self.sketched_objective(xi) for xi in candidates]
             xi = candidates[int(np.argmax(vals))]
             if not self.add_point(xi):
                 break
             added.append(xi)
         return added
 
-    def apply(self, xi, X):
-        """P_m(xi) applied to dual vectors X; m = 0 gives R_V0^{-1} X."""
+    def apply(self, lam, X):
+        """P_m(xi) applied to dual vectors X, at the weights ``lam`` fitted at
+        xi (:meth:`coefficients`); m = 0 gives R_V0^{-1} X."""
         X = np.asarray(X, dtype=float)
         if self.m == 0:
             return self.model.riesz_v0(X)
-        lam = self.coefficients(xi)
         return sum(li * f.solve(X) for li, f in zip(lam, self.factorizations))
 
-    def apply_adjoint(self, xi, X):
-        """P_m(xi)^* applied to dual vectors X; m = 0 gives R_V0^{-1} X."""
+    def apply_adjoint(self, lam, X):
+        """P_m(xi)^* applied to dual vectors X, at the weights ``lam``;
+        m = 0 gives R_V0^{-1} X."""
         X = np.asarray(X, dtype=float)
         if self.m == 0:
             return self.model.riesz_v0(X)
-        lam = self.coefficients(xi)
         return sum(li * f.solve(X, transpose=True)
                    for li, f in zip(lam, self.factorizations))
 
@@ -264,7 +256,3 @@ def _checked_array(d, key, shape):
         raise GoromError(f"interpolant record: {key} holds non-finite entries; "
                          "re-run gorom offline")
     return a
-
-
-def _term_images(model, omega):
-    return [np.asarray(term @ omega) for _, term in model.A.terms]

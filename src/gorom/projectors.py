@@ -34,8 +34,11 @@ matrix is factored once per point whichever route, estimate or constant
 solves with it.
 
 A route returns an :class:`OutputEstimate` that holds the blocks it read;
-the estimators of :mod:`gorom.estimators` take residual norms, Schur
-complements and the saddle point from them instead of computing them again.
+the estimators of :mod:`gorom.estimators` take residual norms and Schur
+complements from them instead of computing them again.  The blocks are also
+the one place where an online estimate does full-order work: the point x of
+a solution, its residual b - A x, the norm || P r ||_{V0} (P = R_V0^{-1}
+without an interpolant) and the interpolation weights of P, once per point.
 """
 
 import threading
@@ -97,13 +100,15 @@ class _Blocks:
     * saddle: ``Tb``, ``TAT``, ``LT`` (spd), ``KT``, ``CT``, ``TAV``, ``LXT``
       (general), defined as above with T in place of W or WQ;
     * residual norms: ``Rbb`` = b^T R^{-1} b, ``RAA`` = (A V)^T R^{-1} A V,
-      ``RAb`` = (A V)^T R^{-1} b, ``RTT`` and ``RTb`` likewise over T;
-    * full order: ``A``, ``b`` and ``XT`` = R^{-1} A^T T, which the general
-      saddle point and its residual read.
+      ``RAb`` = (A V)^T R^{-1} b, ``RTT`` and ``RTb`` likewise over T.
+
+    Full-order work goes through :meth:`point`, :meth:`residual` and
+    :meth:`residual_norm`, which read ``b``, ``XT`` = R^{-1} A^T T and the
+    subclass's ``_apply_A(x)`` = A x; :meth:`weights` fits lambda(xi).
 
     Subclasses also set ``model``, ``spd``, ``l``, ``xi``, the columns ``Vc``
     and ``Tc`` of V and T, the dimensions ``r``, ``k``, ``p`` of V, WQ and T,
-    and empty dicts ``_theta`` and ``_factors``.  A :class:`ReducedCache`
+    and the dicts ``_theta`` and ``_factors``.  A :class:`ReducedCache`
     stores each block stacked over the terms of the forms it depends on, one
     leading axis for all of them: ``WAV`` as (Q_A, r, r), ``CQ`` as
     (Q_A Q_L, k, l), under an interpolant ``WAV`` as (m Q_A, r, r) over
@@ -210,19 +215,32 @@ class _Blocks:
 
     # -- estimator primitives ------------------------------------------------
 
-    def residual_vector(self, U):
-        """b - A V U as a full-order vector."""
-        r = np.ravel(self.b)
-        if self.r and U is not None and U.size:
-            r = r - self._apply_AV(U)
-        return r
-
-    def saddle_point(self, est):
-        """The saddle point t of a saddle solution ``est`` of these blocks:
-        T y on the spd route, V u + R_V0^{-1} A^T T y on the general one."""
+    def point(self, est):
+        """The full-order point of a solution ``est`` of these blocks: V U
+        (primal-dual), T y (spd saddle) or V u + R_V0^{-1} A^T T y (general)."""
         if est.t_coeffs is not None:
             return self.Tc @ est.t_coeffs
-        return self.XT @ est.dual_coeffs + self.Vc @ est.primal_coeffs
+        x = self.Vc @ est.primal_coeffs
+        return x + self.XT @ est.dual_coeffs if est.method == "saddle" else x
+
+    def residual(self, x):
+        """b - A x at this point, for a full-order vector x."""
+        return np.ravel(self.b) - self._apply_A(x)
+
+    def weights(self, precond):
+        """The interpolation weights lambda(xi) of ``precond``, fitted on
+        first read and kept with theta, keyed by the interpolant."""
+        if precond not in self._theta:
+            self._theta[precond] = precond.fit(self["A"])
+        return self._theta[precond]
+
+    def residual_norm(self, est, precond=None):
+        """|| P r ||_{V0} of the residual r at the point of ``est``, with P the
+        interpolated inverse of ``precond`` at xi, or R_V0^{-1} without one."""
+        r = self.residual(self.point(est))
+        x = (self.model.riesz_v0(r) if precond is None
+             else precond.apply(self.weights(precond), r))
+        return self.model.v0_norm(x)
 
     def primal_residual_norm(self, U):
         """|| b - A V U || in the R_V0 dual norm."""
@@ -265,6 +283,7 @@ class DirectBlocks(_Blocks):
 
     ``W=None`` selects the Galerkin test space W = V; absent spaces are
     empty.  The operator is assembled once, on the first block that needs it.
+    ``theta`` shares the coefficients and weights of another provider at xi.
     """
 
     _RECIPES = {
@@ -305,13 +324,13 @@ class DirectBlocks(_Blocks):
         "RTb": lambda d: d.AT.T @ d.zb,
     }
 
-    def __init__(self, model, xi, V=None, WQ=None, W=None, T=None):
+    def __init__(self, model, xi, V=None, WQ=None, W=None, T=None, theta=None):
         def cols(X):
             return np.zeros((model.n, 0)) if X is None else as_columns(X)
 
         self.model, self.xi = model, xi
         self.spd, self.l = model.symmetry == "spd", model.l
-        self._theta, self._factors = {}, {}
+        self._theta, self._factors = {} if theta is None else theta, {}
         self.Vc, self.Qc, self.Tc = cols(V), cols(WQ), cols(T)
         self.Wc = self.Vc if W is None else as_columns(W)
         self.r, self.k, self.p = self.Vc.shape[1], self.Qc.shape[1], self.Tc.shape[1]
@@ -323,8 +342,8 @@ class DirectBlocks(_Blocks):
             raise AttributeError(name) from None
         return recipe(self)
 
-    def _apply_AV(self, U):
-        return self.AV @ U
+    def _apply_A(self, x):
+        return self.A @ x
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +414,7 @@ def build_test_space(model, V, precond, xi):
     cols = as_columns(V)
     if precond is None or precond.m == 0:
         return cols.copy()
-    return precond.apply_adjoint(xi, model.gram_v0 @ cols)
+    return precond.apply_adjoint(precond.coefficients(xi), model.gram_v0 @ cols)
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +597,7 @@ class _CachedBlocks(_Blocks):
 
     def __getitem__(self, name):
         """As for every point's blocks, and the interpolation weights ``lam``."""
-        if name == "lam" and name not in self._theta:
-            self._theta[name] = self.cache.precond.fit(self["A"])
-        return super().__getitem__(name)
+        return self.weights(self.cache.precond) if name == "lam" else super().__getitem__(name)
 
     @property
     def p(self):
@@ -591,8 +608,6 @@ class _CachedBlocks(_Blocks):
         return self.cache._get("T").columns
 
     def _block(self, name):
-        if name == "A":  # assembled at full order: read by the general saddle residual
-            return self.model.operator_at(self.xi)
         if name in self._aliases:
             return getattr(self, self._aliases[name])
         if name in _TRANSPOSES:
@@ -601,9 +616,9 @@ class _CachedBlocks(_Blocks):
             raise AttributeError(name)
         return self.cache._get(name).at(self)
 
-    def _apply_AV(self, U):
-        # the term images times U, summed: A(xi) itself is never assembled
-        return self["A"] @ (self.cache._get("FA_V").stack @ U)
+    def _apply_A(self, x):
+        # sum_k theta_k (A_k x) over the operator terms: A(xi) is never assembled
+        return sum(t * (term @ x) for t, (_, term) in zip(self["A"], self.model.A.terms))
 
 
 class ReducedCache:
@@ -678,10 +693,11 @@ class ReducedCache:
         if self._precond_w:
             # parameter-dependent T(xi) = (W_r(xi), WQ), assembled at full order
             # from the stored factorizations and the cached R_V0 factor; the
-            # solution carries the DirectBlocks at xi, which its estimate reads
+            # solution carries the DirectBlocks at xi, which its estimate reads,
+            # and they share theta and the weights W was built from
             W = blocks.Ys if self.r else np.zeros((self.model.n, 0))
             T = union_basis([W, self.WQc], gram=self.model.gram_v0, name="T")
-            blocks = DirectBlocks(self.model, xi, V=self.Vc, T=T)
+            blocks = DirectBlocks(self.model, xi, V=self.Vc, T=T, theta=blocks._theta)
         return blocks.solve_saddle_spd() if self._spd else blocks.solve_saddle_general()
 
     def solve(self, xi, method):
@@ -701,8 +717,8 @@ class ReducedCache:
         return self.at(xi).primal_residual_norm(U)
 
     def residual_vector(self, xi, U):
-        """b(xi) - A(xi) V U as a full-order vector (from cached term images)."""
-        return self.at(xi).residual_vector(U)
+        """b(xi) - A(xi) V U as a full-order vector."""
+        return self.at(xi).residual(self.Vc @ U)
 
     def min_residual_over_T(self, xi):
         """min over t in T of || A(xi) t - b(xi) || in the R_V0 dual norm."""
@@ -710,7 +726,7 @@ class ReducedCache:
 
     def saddle_corrected_point(self, xi, est):
         """The saddle point of a saddle solution ``est`` at xi."""
-        return est.blocks.saddle_point(est)
+        return est.blocks.point(est)
 
     def dual_schur(self, xi, space="WQ"):
         """G_LL - C^T K^{-1} C: the Gram of the dual-residual minimization."""

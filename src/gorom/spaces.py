@@ -53,15 +53,12 @@ class Basis:
         out._cols = self._cols.copy()
         return out
 
-    def _gdot(self, x):
-        return self.gram @ x
-
     def gram_norm(self, v):
-        return float(np.sqrt(max(v @ self._gdot(v), 0.0)))
+        return float(np.sqrt(max(v @ (self.gram @ v), 0.0)))
 
     def project_coeffs(self, v):
         """Coefficients of the G-orthogonal projection onto the span."""
-        return self._cols.T @ self._gdot(v)
+        return self._cols.T @ (self.gram @ v)
 
     def append(self, v):
         """Gram-Schmidt append; returns True if a column was accepted."""
@@ -76,7 +73,7 @@ class Basis:
         w = v.copy()
         for _ in range(2):
             if self.dim:
-                w -= self._cols @ (self._cols.T @ self._gdot(w))
+                w -= self._cols @ (self._cols.T @ (self.gram @ w))
         norm_out = self.gram_norm(w)
         if norm_out <= TOL_RANK * norm_in:
             return False

@@ -500,7 +500,14 @@ def test_parser_refuses_counts_out_of_range(workspace, tmp_path, capsys, command
 
 
 _CONFIGS = {"config-json": "{", "config-max-iter": '{"max_iter": 0}',
-            "config-method": '{"method": "foo"}', "config-type": '{"max_iter": "x"}'}
+            "config-method": '{"method": "foo"}', "config-type": '{"max_iter": "x"}',
+            "config-max-iter-float": '{"max_iter": 2.5}',
+            "config-flag-string": '{"precondition": "false"}',
+            "config-sketch": '{"precondition": true, "precond_sketch": -5}',
+            "config-threshold": '{"stop_threshold": "x"}',
+            "config-threshold-nan": '{"stop_threshold": NaN}',
+            "config-train-seed": '{"train_seed": "x"}',
+            "config-precond-seed": '{"precondition": true, "precond_seed": "x"}'}
 
 
 @pytest.mark.parametrize("case", ["generate-n", "generate-l", "generate-d",

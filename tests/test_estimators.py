@@ -284,6 +284,49 @@ def test_preconditioned_saddle_estimate_assembles_the_operator_once(
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("method", ["primal-dual", "saddle"])
+def test_surrogate_estimate_fits_the_weights_once(method, gen_small, gen_spaces,
+                                                  monkeypatch):
+    # the route and its estimate share one fit of lambda(xi) per point
+    model, _, _, P, cache = model_cache("general-precond", None, gen_small,
+                                        None, gen_spaces)
+    calls = []
+    original = InverseInterpolant.fit
+    monkeypatch.setattr(InverseInterpolant, "fit",
+                        lambda self, thetas: calls.append(1) or original(self, thetas))
+    for xi in model.domain.sample(3, np.random.default_rng(45)):
+        calls.clear()
+        estimate_error(model, cache.solve(xi, method), precond=P)
+        assert len(calls) == 1
+
+
+def test_weights_are_kept_per_interpolant(gen_small, gen_spaces):
+    # an estimate under another interpolant than the route's fits its own
+    model, _, _, P, cache = model_cache("general-precond", None, gen_small,
+                                        None, gen_spaces)
+    Q = InverseInterpolant(model, sketch_size=40, seed=8)
+    Q.add_point(model.xi_ref)
+    xi = model.domain.sample(1, np.random.default_rng(47))[0]
+    blocks = cache.solve(xi, "primal-dual").blocks
+    np.testing.assert_array_equal(blocks.weights(P), P.coefficients(xi))
+    np.testing.assert_array_equal(blocks.weights(Q), Q.coefficients(xi))
+
+
+def test_cached_general_saddle_estimate_assembles_no_operator(gen_small, gen_spaces,
+                                                              monkeypatch):
+    # the residual at the saddle point applies the operator terms one by one
+    from gorom import FullOrderModel
+    model, _, _, _, cache = model_cache("general", None, gen_small, None, gen_spaces)
+    calls = []
+    original = FullOrderModel.operator_at
+    monkeypatch.setattr(FullOrderModel, "operator_at",
+                        lambda self, xi: calls.append(xi) or original(self, xi))
+    for xi in model.domain.sample(3, np.random.default_rng(46)):
+        estimate_error(model, cache.solve(xi, "saddle"))
+        estimate_saddle(model, cache.solve(xi, "saddle"), 0.5)
+    assert calls == []
+
+
 @pytest.mark.parametrize("which", ["spd", "general", "general-precond"])
 def test_estimates_of_direct_solutions_match_cached(which, spd_small, gen_small,
                                                     spd_spaces, gen_spaces):

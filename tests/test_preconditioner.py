@@ -99,8 +99,8 @@ def test_objective_beats_unit_coefficients(model):
 def test_apply_m0_is_riesz(model):
     P = InverseInterpolant(model, sketch_size=20, seed=13)
     X = np.random.default_rng(7).standard_normal((model.n, 3))
-    np.testing.assert_allclose(P.apply(None, X), model.riesz_v0(X), atol=1e-14)
-    np.testing.assert_allclose(P.apply_adjoint(None, X), model.riesz_v0(X),
+    np.testing.assert_allclose(P.apply(np.zeros(0), X), model.riesz_v0(X), atol=1e-14)
+    np.testing.assert_allclose(P.apply_adjoint(np.zeros(0), X), model.riesz_v0(X),
                                atol=1e-14)
 
 
@@ -109,9 +109,10 @@ def test_apply_single_point_identity(model, precond):
     precond.add_point(pt)
     X = np.random.default_rng(9).standard_normal((model.n, 2))
     Ad = model.operator_at(pt).toarray()
-    np.testing.assert_allclose(precond.apply(pt, X), la.solve(Ad, X),
+    lam = precond.coefficients(pt)
+    np.testing.assert_allclose(precond.apply(lam, X), la.solve(Ad, X),
                                rtol=1e-8, atol=1e-10)
-    np.testing.assert_allclose(precond.apply_adjoint(pt, X), la.solve(Ad.T, X),
+    np.testing.assert_allclose(precond.apply_adjoint(lam, X), la.solve(Ad.T, X),
                                rtol=1e-8, atol=1e-10)
 
 
@@ -126,7 +127,7 @@ def test_apply_matches_dense_combination(model):
     X = rng.standard_normal((model.n, 2))
     dense = sum(li * la.solve(model.operator_at(pt).toarray().T, X)
                 for li, pt in zip(lam, pts))
-    np.testing.assert_allclose(P.apply_adjoint(xi, X), dense, rtol=1e-9,
+    np.testing.assert_allclose(P.apply_adjoint(lam, X), dense, rtol=1e-9,
                                atol=1e-11 * np.abs(dense).max())
 
 
@@ -137,8 +138,9 @@ def test_apply_linear(model, precond):
     xi = model.domain.sample(1, rng)[0]
     X = rng.standard_normal((model.n, 2))
     Y = rng.standard_normal((model.n, 2))
-    lhs = precond.apply(xi, 2.0 * X - 3.0 * Y)
-    rhs = 2.0 * precond.apply(xi, X) - 3.0 * precond.apply(xi, Y)
+    lam = precond.coefficients(xi)
+    lhs = precond.apply(lam, 2.0 * X - 3.0 * Y)
+    rhs = 2.0 * precond.apply(lam, X) - 3.0 * precond.apply(lam, Y)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * np.abs(rhs).max())
 
 
@@ -173,13 +175,14 @@ def test_greedy_point_selection(model):
     np.testing.assert_array_equal(np.array(added), np.array(added2))
 
 
-def test_residual_objective_m0_convention(model):
+def test_sketched_objective_m0_convention(model):
+    # with no points P_0 = R_V0^{-1}, not 0
     P = InverseInterpolant(model, sketch_size=25, seed=17)
     xi = model.domain.sample(1, np.random.default_rng(15))[0]
     A = model.operator_at(xi).toarray()
     expected = np.linalg.norm(
         model.riesz_v0(A @ P.omega) - P.omega)
-    assert P.residual_objective(xi) == pytest.approx(expected, rel=1e-12)
+    assert P.sketched_objective(xi) == pytest.approx(expected, rel=1e-12)
 
 
 def _direct_coefficients(P, xi):
@@ -300,7 +303,7 @@ def test_loaded_interpolant_factorizes_once_under_concurrent_first_use(model, mo
     P = _interpolant(model, 5)
     X = np.random.default_rng(21).standard_normal((model.n, 2))
     xi = model.domain.sample(1, np.random.default_rng(22))[0]
-    expected = P.apply(xi, X)
+    expected = P.apply(P.coefficients(xi), X)
     calls = []
     original = FullOrderModel.factorize_operator
 
@@ -315,7 +318,7 @@ def test_loaded_interpolant_factorizes_once_under_concurrent_first_use(model, mo
 
     def first_use():
         start.wait(timeout=60)
-        return Q.apply(xi, X)
+        return Q.apply(Q.coefficients(xi), X)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
