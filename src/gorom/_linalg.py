@@ -38,10 +38,11 @@ class CheckedLU:
         self.n = M.shape[0]
         if self.n == 0:
             return
-        anorm = np.linalg.norm(M, 1)
+        getrf, gecon, self._getrs, lange = la.get_lapack_funcs(
+            ("getrf", "gecon", "getrs", "lange"), (M,))
+        anorm = _norm1(lange, M)
         if anorm == 0.0 or not np.isfinite(anorm):
             raise ReducedSolveError(f"{what}: zero or non-finite matrix", cond=np.inf)
-        getrf, gecon, self._getrs = la.get_lapack_funcs(("getrf", "gecon", "getrs"), (M,))
         self.lu, self.piv, info = getrf(M)
         rcond = 0.0
         if info == 0:
@@ -68,12 +69,13 @@ class SpdFactor:
         self.n = M.shape[0]
         if self.n == 0:
             return
-        potrf, pocon, self._potrs = la.get_lapack_funcs(("potrf", "pocon", "potrs"), (M,))
+        potrf, pocon, self._potrs, lange = la.get_lapack_funcs(
+            ("potrf", "pocon", "potrs", "lange"), (M,))
         self.U, info = potrf(M, lower=0)
         if info != 0:
             raise ReducedSolveError(f"{what} is not SPD (leading minor {info} is not "
                                     "positive definite); model misuse?", cond=np.inf)
-        rcond, info = pocon(self.U, np.linalg.norm(M, 1))
+        rcond, info = pocon(self.U, _norm1(lange, M))
         _refuse_ill_conditioned(what, info, rcond)
 
     def solve(self, rhs):
@@ -81,6 +83,13 @@ class SpdFactor:
         if self.n == 0:
             return np.zeros((0,) + rhs.shape[1:])
         return self._potrs(self.U, rhs, lower=0)[0]
+
+
+def _norm1(lange, M):
+    """The 1-norm of M by LAPACK ``lange``, read as the infinity norm of the
+    Fortran-ordered M^T so that a row-major M is neither copied nor passed
+    through a temporary abs(M)."""
+    return lange("I", M.T)
 
 
 def _refuse_ill_conditioned(what, info, rcond):

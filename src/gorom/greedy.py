@@ -8,6 +8,14 @@ dimensions costs about twice the factorizations).  Dual enrichment is
 either full (all columns of the dual snapshot) or partial (a single
 vector along the worst output direction).
 
+Each iteration's :class:`ReducedCache` grows the blocks of the previous
+one by the columns the enrichment added, so an iteration's Riesz solves and
+block products scale with what it added, not with the space dimensions.
+The saddle route's T = V + WQ is therefore in enrichment order, the
+previous T followed by the new V and then the new WQ columns, while online
+commands build T from the saved bases as V's columns, then WQ's: the same
+span, with another column order.
+
 Each iteration records the selected point, the estimate supremum over the
 training set, space dimensions, the cumulative factorization count, and a
 cubic online-cost estimate for the active method.
@@ -200,9 +208,10 @@ def run_greedy(model, cfg, threads=None):
     trace = GreedyTrace(config=cfg.to_dict())
     selected = []
     nfact = 0
+    cache = None
 
     for i in range(1, cfg.max_iter + 1):
-        cache = ReducedCache(model, V, WQ, precond=precond)
+        cache = ReducedCache(model, V, WQ, precond=precond, previous=cache)
         try:
             deltas = [rec.delta for rec in map_points(
                 lambda xi: estimate_error(model, cache.solve(xi, cfg.method),

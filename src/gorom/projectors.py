@@ -27,7 +27,8 @@ blocks on first read:
   polynomial in the reduced dimensions.  A Gram block F^T R_V0^{-1} F keeps
   only the term pairs i <= j of its stack.  Each block is built on its first
   use, so a route builds only the blocks it reads, and on spd models a
-  transposed block is the direct one.
+  transposed block is the direct one.  A cache over spaces that grew from
+  another cache's grows that cache's stacks by the added columns only.
 
 A point's blocks also keep the factors of their reduced matrices, so each
 matrix is factored once per point whichever route, estimate or constant
@@ -50,7 +51,7 @@ import numpy as np
 from ._linalg import CheckedLU, SpdFactor, as_columns, dense
 from .exceptions import ReducedSolveError
 from .problems import truth_solve
-from .spaces import union_basis
+from .spaces import Basis, union_basis
 
 __all__ = [
     "OutputEstimate",
@@ -470,104 +471,150 @@ class _Gram(_Affine):
         return U + U.T
 
 
-def _stacked(count, blocks):
-    """The ``count`` equal-shape arrays that ``blocks`` yields, copied one by
-    one into a new (count, ...) array, so that no list of them is held
-    alongside the stack."""
-    out = None
-    for t, B in enumerate(blocks):
-        if out is None:
-            out = np.empty((count,) + np.shape(B))
-        out[t] = B
-    return out
-
-
 def _fixed(X):
     """A parameter-independent matrix as a family of one term of weight 1."""
     return _Affine(("1",), X[None])
 
 
-def _family(model, name, X=None, transpose=False):
+def _grown(names, old, shape, image):
+    """A family of full-order images, stacked to ``shape`` = (terms, n,
+    columns).  ``old`` is the same family over fewer terms or columns (None
+    when there is none): each of its terms keeps its columns and gains
+    ``image(t, c)``, the images of its columns from c on, and a later term
+    is ``image(t, 0)``."""
+    t0, c0 = (0, 0) if old is None else (len(old.stack), old.stack.shape[-1])
+    if (t0, c0) == (shape[0], shape[-1]):
+        return old
+    out = np.empty(shape)
+    for t in range(shape[0]):
+        start = c0 if t < t0 else 0
+        if start:
+            out[t, :, :start] = old.stack[t]
+        if start < shape[-1]:
+            out[t, :, start:] = image(t, start)
+    return _Affine(names, out)
+
+
+def _family(c, old, name, X=None, transpose=False):
     """Images term_k @ X (or term_k^T @ X) of the terms of ``model.<name>``;
     with no X, the dense transposed terms (a vector term as one column)."""
-    def image(term):
-        if X is None:
-            return np.atleast_2d(dense(term)).T
-        return term.T @ X if transpose else term @ X
+    form = getattr(c.model, name)
+    terms = [term.T if transpose else term for _, term in form.terms]
+    if X is None:
+        width = 1 if len(form.shape) == 1 else form.shape[0]
+        return _grown((name,), old, (len(terms), c.model.n, width),
+                      lambda t, j: np.atleast_2d(dense(terms[t])).T)
+    return _grown((name,), old, (len(terms), c.model.n, X.shape[1]),
+                  lambda t, j: terms[t] @ X[:, j:])
 
-    form = getattr(model, name)
-    return _Affine((name,), _stacked(form.nterms, (image(t) for _, t in form.terms)))
 
-
-def _riesz(c, fam):
+def _riesz(c, old, fam):
     """Riesz representers R_V0^{-1} F_k of a family of dual images."""
-    return _Affine(fam.names,
-                   _stacked(len(fam.stack), (c.model.riesz_v0(F) for F in fam.stack)))
+    S = fam.stack
+    return _grown(fam.names, old, S.shape, lambda t, j: c.model.riesz_v0(S[t][:, j:]))
 
 
-def _pairs(fam_a, fam_b):
-    """Stacked blocks Fa_j^T Fb_k for every pair of terms, k fastest."""
-    return _Affine(fam_a.names + fam_b.names,
-                   _stacked(len(fam_a.stack) * len(fam_b.stack),
-                            (Fa.T @ Fb for Fa in fam_a.stack for Fb in fam_b.stack)))
+def _products(old, A, B, pairs):
+    """The blocks A[i]^T B[j] over the term ``pairs``, stacked.  ``old`` is
+    the group of the first pairs over fewer rows and columns (None when there
+    is none): its blocks keep their entries and gain their new rows and
+    columns, and the later pairs are computed whole."""
+    shape = (len(pairs), A.shape[-1], B.shape[-1])
+    old = None if old is None else old.stack
+    t0, (a0, b0) = (0, (0, 0)) if old is None else (len(old), old.shape[1:])
+    if old is not None and old.shape == shape:
+        return old
+    out = np.empty(shape)
+    for t, (i, j) in enumerate(pairs):
+        a, b = (a0, b0) if t < t0 else (0, 0)
+        out[t, :, b:] = A[i].T @ B[j][:, b:]
+        if t < t0:
+            out[t, :a, :b] = old[t]
+            out[t, a:, :b] = A[i][:, a:].T @ B[j][:, :b]
+    return out
 
 
-def _gram(fam, zfam):
+def _pairs(fam_a, fam_b, old=None):
+    """Stacked blocks Fa_j^T Fb_k for every pair of terms, k fastest, grown
+    from ``old`` (see :func:`_products`)."""
+    pairs = [(i, j) for i in range(len(fam_a.stack)) for j in range(len(fam_b.stack))]
+    return _Affine(fam_a.names + fam_b.names, _products(old, fam_a.stack, fam_b.stack, pairs))
+
+
+def _gram(fam, zfam, old=None):
     """The packed :class:`_Gram` of a family ``fam`` of dual images and the
-    family ``zfam`` of their Riesz representers: F_i^T Z_j for i <= j."""
-    F, Z = fam.stack, zfam.stack
-    pairs = [(i, j) for i in range(len(F)) for j in range(i, len(F))]
-    return _Gram(fam.names[0], _stacked(len(pairs), (F[i].T @ Z[j] for i, j in pairs)),
-                 len(F))
+    family ``zfam`` of their Riesz representers: F_i^T Z_j for i <= j, grown
+    from ``old`` (see :func:`_products`)."""
+    Q = len(fam.stack)
+    pairs = [(i, j) for i in range(Q) for j in range(i, Q)]
+    return _Gram(fam.names[0], _products(old, fam.stack, zfam.stack, pairs), Q)
 
 
-# name -> builder(cache, get); a builder reads other groups through get
+def _t_basis(c, old):
+    """T = V + WQ in enrichment order: the previous cache's T (``old``),
+    extended in place by the columns of V and then of WQ added since, or a
+    new basis of all of them."""
+    T = Basis(c.model.gram_v0, c.model.n, name="T") if old is None else old
+    r0, k0 = (0, 0) if old is None else c._base
+    T.extend(c.Vc[:, r0:])
+    T.extend(c.WQc[:, k0:])
+    return T
+
+
+def _test_images(c, old):
+    """Y_i = A(xi_i)^{-T} R_V0 V, one term per interpolation point."""
+    facts = c.precond.factorizations
+    return _grown(("lam",), old, (c.precond.m, c.model.n, c.r), lambda i, j: facts[i].solve(
+        c.model.gram_v0 @ c.Vc[:, j:], transpose=True))
+
+
+# name -> builder(cache, get, old); a builder reads other groups through get
+# and grows ``old``, the group of that name carried over from a previous
+# cache, or builds the group anew when that is None
 _GROUPS = {
     # full-order term images
-    "FA_V": lambda c, g: _family(c.model, "A", c.Vc),
-    "FA_Q": lambda c, g: _family(c.model, "A", c.WQc),
-    "FAt_Q": lambda c, g: _family(c.model, "A", c.WQc, transpose=True),
-    "b": lambda c, g: _family(c.model, "b"),
-    "FL": lambda c, g: _family(c.model, "L"),
-    "T": lambda c, g: union_basis([c.Vc, c.WQc], gram=c.model.gram_v0, name="T"),
-    "FA_T": lambda c, g: _family(c.model, "A", g("T").columns),
-    "FAt_T": lambda c, g: _family(c.model, "A", g("T").columns, transpose=True),
+    "FA_V": lambda c, g, o: _family(c, o, "A", c.Vc),
+    "FA_Q": lambda c, g, o: _family(c, o, "A", c.WQc),
+    "FAt_Q": lambda c, g, o: _family(c, o, "A", c.WQc, transpose=True),
+    "b": lambda c, g, o: _family(c, o, "b"),
+    "FL": lambda c, g, o: _family(c, o, "L"),
+    "T": lambda c, g, o: _t_basis(c, o),
+    "FA_T": lambda c, g, o: _family(c, o, "A", g("T").columns),
+    "FAt_T": lambda c, g, o: _family(c, o, "A", g("T").columns, transpose=True),
     # test-space images Y_i = A(xi_i)^{-T} R_V0 V: W(xi) = sum_i lambda_i Y_i
-    "Ys": lambda c, g: _Affine(("lam",), _stacked(
-        c.precond.m, (f.solve(c.model.gram_v0 @ c.Vc, transpose=True)
-                      for f in c.precond.factorizations))),
+    "Ys": lambda c, g, o: _test_images(c, o),
     # Riesz representers of the term images; XQ = R_V0^{-1} A^T WQ, XT likewise
-    "zA_V": lambda c, g: _riesz(c, g("FA_V")),
-    "XQ": lambda c, g: _riesz(c, g("FAt_Q")),
-    "zb": lambda c, g: _riesz(c, g("b")),
-    "zL": lambda c, g: _riesz(c, g("FL")),
-    "zA_T": lambda c, g: _riesz(c, g("FA_T")),
-    "XT": lambda c, g: _riesz(c, g("FAt_T")),
+    "zA_V": lambda c, g, o: _riesz(c, o, g("FA_V")),
+    "XQ": lambda c, g, o: _riesz(c, o, g("FAt_Q")),
+    "zb": lambda c, g, o: _riesz(c, o, g("b")),
+    "zL": lambda c, g, o: _riesz(c, o, g("FL")),
+    "zA_T": lambda c, g, o: _riesz(c, o, g("FA_T")),
+    "XT": lambda c, g, o: _riesz(c, o, g("FAt_T")),
     # primal route: W = V, or W(xi) under an interpolant
-    "WAV": lambda c, g: _pairs(g("Ys") if c._precond_w else _fixed(c.Vc), g("FA_V")),
-    "Wb": lambda c, g: _pairs(g("Ys") if c._precond_w else _fixed(c.Vc), g("b")),
-    "LV": lambda c, g: _pairs(g("FL"), _fixed(c.Vc)),
+    "WAV": lambda c, g, o: _pairs(g("Ys") if c._precond_w else _fixed(c.Vc), g("FA_V"), o),
+    "Wb": lambda c, g, o: _pairs(g("Ys") if c._precond_w else _fixed(c.Vc), g("b"), o),
+    "LV": lambda c, g, o: _pairs(g("FL"), _fixed(c.Vc), o),
     # primal residual in the R_V0 dual norm
-    "RAA": lambda c, g: _gram(g("FA_V"), g("zA_V")),
-    "Rbb": lambda c, g: _gram(g("b"), g("zb")),
-    "RAb": lambda c, g: _pairs(g("FA_V"), g("zb")),
+    "RAA": lambda c, g, o: _gram(g("FA_V"), g("zA_V"), o),
+    "Rbb": lambda c, g, o: _gram(g("b"), g("zb"), o),
+    "RAb": lambda c, g, o: _pairs(g("FA_V"), g("zb"), o),
     # dual route
-    "QAV": lambda c, g: _pairs(_fixed(c.WQc), g("FA_V")),
-    "Qb": lambda c, g: _pairs(_fixed(c.WQc), g("b")),
-    "QAQ": lambda c, g: _pairs(_fixed(c.WQc), g("FA_Q")),
-    "QL": lambda c, g: _pairs(_fixed(c.WQc), g("FL")),
-    "KQ": lambda c, g: _gram(g("FAt_Q"), g("XQ")),
-    "CQ": lambda c, g: _pairs(g("FAt_Q"), g("zL")),
-    "GLL": lambda c, g: _gram(g("FL"), g("zL")),
+    "QAV": lambda c, g, o: _pairs(_fixed(c.WQc), g("FA_V"), o),
+    "Qb": lambda c, g, o: _pairs(_fixed(c.WQc), g("b"), o),
+    "QAQ": lambda c, g, o: _pairs(_fixed(c.WQc), g("FA_Q"), o),
+    "QL": lambda c, g, o: _pairs(_fixed(c.WQc), g("FL"), o),
+    "KQ": lambda c, g, o: _gram(g("FAt_Q"), g("XQ"), o),
+    "CQ": lambda c, g, o: _pairs(g("FAt_Q"), g("zL"), o),
+    "GLL": lambda c, g, o: _gram(g("FL"), g("zL"), o),
     # saddle route over T = V + WQ
-    "Tb": lambda c, g: _pairs(_fixed(g("T").columns), g("b")),
-    "TAT": lambda c, g: _pairs(_fixed(g("T").columns), g("FA_T")),
-    "LT": lambda c, g: _pairs(g("FL"), _fixed(g("T").columns)),
-    "TAV": lambda c, g: _pairs(_fixed(g("T").columns), g("FA_V")),
-    "KT": lambda c, g: _gram(g("FAt_T"), g("XT")),
-    "CT": lambda c, g: _pairs(g("FAt_T"), g("zL")),
-    "RTT": lambda c, g: _gram(g("FA_T"), g("zA_T")),
-    "RTb": lambda c, g: _pairs(g("FA_T"), g("zb")),
+    "Tb": lambda c, g, o: _pairs(_fixed(g("T").columns), g("b"), o),
+    "TAT": lambda c, g, o: _pairs(_fixed(g("T").columns), g("FA_T"), o),
+    "LT": lambda c, g, o: _pairs(g("FL"), _fixed(g("T").columns), o),
+    "TAV": lambda c, g, o: _pairs(_fixed(g("T").columns), g("FA_V"), o),
+    "KT": lambda c, g, o: _gram(g("FAt_T"), g("XT"), o),
+    "CT": lambda c, g, o: _pairs(g("FAt_T"), g("zL"), o),
+    "RTT": lambda c, g, o: _gram(g("FA_T"), g("zA_T"), o),
+    "RTb": lambda c, g, o: _pairs(g("FA_T"), g("zb"), o),
 }
 
 # every operator term of an spd model is symmetric (FullOrderModel checks
@@ -634,13 +681,22 @@ class ReducedCache:
     precond : InverseInterpolant, optional
         Drives the parameter-dependent test space of general models; ignored
         as a test space for spd models (Galerkin is optimal there).
+    previous : ReducedCache, optional
+        A cache whose spaces V and WQ are leading columns of these, over the
+        same model and interpolant (which may have gained points since).
 
     Each block group is built on its first use, under a per-cache lock, so a
     route builds only what it reads and pool threads can share one cache.
-    The spaces are fixed; build a new cache after every enrichment.
+    A cache built from ``previous`` takes over every group that cache built,
+    leaving it none, and grows each one here, on the calling thread, by the
+    slices that involve the columns and interpolation points added since:
+    the term images and their Riesz representers of the new columns only,
+    the new rows and columns of each block.  Its T is the previous T with
+    the new columns of V and then of WQ, so it spans V + WQ in the order the
+    spaces grew.  A cache without ``previous`` grows each group from nothing.
     """
 
-    def __init__(self, model, V=None, WQ=None, precond=None):
+    def __init__(self, model, V=None, WQ=None, precond=None, previous=None):
         self.model = model
         n = model.n
         self.Vc = as_columns(V) if V is not None else np.zeros((n, 0))
@@ -651,8 +707,27 @@ class ReducedCache:
         # a general model with interpolation points gets the test space
         # W(xi) = P_m(xi)^* R_V0 V, and its saddle route a T(xi) to match
         self._precond_w = not self._spd and precond is not None and precond.m > 0
-        self._groups = {}
+        self._groups, self._carried, self._base = {}, {}, (0, 0)
         self._lock = threading.RLock()
+        if previous is not None:
+            self._carry(previous)
+
+    def _carry(self, previous):
+        """Take over the groups of ``previous`` and grow each to these spaces."""
+        r0, k0 = previous.r, previous.k
+        if (previous.model is not self.model or previous.precond is not self.precond
+                or not np.array_equal(previous.Vc, self.Vc[:, :r0])
+                or not np.array_equal(previous.WQc, self.WQc[:, :k0])):
+            raise ValueError("the spaces of this cache do not extend those of previous")
+        with previous._lock:
+            self._carried, previous._groups = previous._groups, {}
+        if self._precond_w and not previous._precond_w:
+            # the test space was V and is W(xi) now: its blocks start anew
+            for name in ("WAV", "Wb"):
+                self._carried.pop(name, None)
+        self._base = (r0, k0)
+        for name in list(self._carried):
+            self._get(name)
 
     def _get(self, name):
         """The block group ``name``, built on first use."""
@@ -663,7 +738,7 @@ class ReducedCache:
             with self._lock:
                 group = self._groups.get(name)
                 if group is None:
-                    group = _GROUPS[name](self, self._get)
+                    group = _GROUPS[name](self, self._get, self._carried.pop(name, None))
                     self._groups[name] = group
         return group
 

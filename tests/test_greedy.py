@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from gorom import (
+    FullOrderModel,
     GreedyConfig,
     ProblemConfig,
+    ReducedCache,
     argmax_delta,
+    greedy,
     make_diffusion_problem,
     run_greedy,
     truth_solve,
@@ -193,3 +196,98 @@ def test_threaded_sweep_matches_serial(tiny_spd):
     threaded = run_greedy(tiny_spd, cfg, threads=4)
     assert serial.trace.to_dict() == threaded.trace.to_dict()
     np.testing.assert_array_equal(serial.V.columns, threaded.V.columns)
+
+
+# model, greedy config, and the Riesz families the sweep reads per added
+# column of V, WQ and T (zA_V, XQ, and zA_T or XT, Q_A terms each)
+_CARRIED = {
+    "spd-primal-dual": ("spd", dict(method="primal-dual"), (1, 1, 0)),
+    "spd-saddle": ("spd", dict(method="saddle"), (0, 0, 1)),
+    "general-primal-dual-precond": ("general", dict(method="primal-dual",
+                                                    precondition=True), (0, 1, 0)),
+    "general-saddle": ("general", dict(method="saddle"), (0, 0, 1)),
+}
+
+
+def _carried_case(case, spd_small, gen_small):
+    which, options, per_column = _CARRIED[case]
+    cfg = GreedyConfig(max_iter=5, train_count=10, train_seed=3, **options)
+    return (spd_small if which == "spd" else gen_small), cfg, per_column
+
+
+@pytest.mark.parametrize("case", sorted(_CARRIED))
+def test_carried_cache_blocks_match_fresh(case, spd_small, gen_small, monkeypatch):
+    # each iteration's cache grows the groups of the one before; right after
+    # it is made, every such group equals the one a new cache builds over the
+    # same spaces and interpolant.  T is in enrichment order there, so T is
+    # compared by T T^T (its R_V0 projector times R_V0^{-1}), and the new
+    # cache builds the groups over T from the carried T's columns
+    model, cfg, _ = _carried_case(case, spd_small, gen_small)
+    xis = model.domain.sample(3, np.random.default_rng(40))
+    checked = []
+
+    def make(*args, **kwargs):
+        cache = ReducedCache(*args, **kwargs)
+        if kwargs.get("previous") is None:
+            return cache
+        groups = dict(cache._groups)
+        fresh = ReducedCache(model, cache.Vc, cache.WQc, precond=cache.precond)
+        T = groups.pop("T", None)
+        if T is not None:
+            got, want = T.columns @ T.columns.T, fresh._get("T").columns
+            want = want @ want.T
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            fresh._groups["T"] = T
+        for xi in xis:
+            carried_at, fresh_at = cache.at(xi), fresh.at(xi)
+            for name, group in groups.items():
+                got, want = group.at(carried_at), fresh._get(name).at(fresh_at)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+        checked.append(sorted(groups))
+        return cache
+
+    monkeypatch.setattr(greedy, "ReducedCache", make)
+    res = run_greedy(model, cfg)
+    assert len(res.trace.iterations) == 5
+    assert len(checked) == 4 and all(checked)
+
+
+@pytest.mark.parametrize("case", sorted(_CARRIED))
+def test_carried_cache_riesz_work_per_iteration(case, spd_small, gen_small, monkeypatch):
+    # an iteration Riesz-solves the images of the columns it added, once per
+    # term of each family its sweep reads, and never Gram-Schmidts T anew.
+    # Only block solves count: a 1-D right-hand side is one point's residual
+    from gorom import projectors, spaces
+    model, cfg, (per_v, per_q, per_t) = _carried_case(case, spd_small, gen_small)
+    columns, unions, dims = [], [], []
+    riesz, union = FullOrderModel.riesz_v0, spaces.union_basis
+
+    def counting_riesz(self, X):
+        X = np.asarray(X)
+        if X.ndim == 2:
+            columns[-1] += X.shape[1]
+        return riesz(self, X)
+
+    def counting_union(*args, **kwargs):
+        unions[-1] += 1
+        return union(*args, **kwargs)
+
+    def make(*args, **kwargs):
+        columns.append(0)
+        unions.append(0)
+        cache = ReducedCache(*args, **kwargs)
+        T = cache._groups.get("T")
+        dims.append(np.array([cache.r, cache.k, T.dim if T is not None else 0]))
+        return cache
+
+    monkeypatch.setattr(FullOrderModel, "riesz_v0", counting_riesz)
+    monkeypatch.setattr(projectors, "union_basis", counting_union)
+    monkeypatch.setattr(greedy, "ReducedCache", make)
+    run_greedy(model, cfg)
+    assert len(columns) == 5
+    q = model.A.nterms
+    for i in range(1, 5):
+        added = dims[i] - dims[i - 1]
+        assert added.min() >= 0 and added[:2].sum() > 0
+        assert columns[i] == q * (per_v * added[0] + per_q * added[1] + per_t * added[2]), i
+    assert unions[1:] == [0] * 4

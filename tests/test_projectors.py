@@ -395,8 +395,8 @@ def test_cache_concurrent_first_use_builds_each_group_once(
     builds = []
     for name, build in list(projectors._GROUPS.items()):
         monkeypatch.setitem(projectors._GROUPS, name,
-                            lambda c, g, name=name, build=build:
-                            builds.append(name) or build(c, g))
+                            lambda c, g, o, name=name, build=build:
+                            builds.append(name) or build(c, g, o))
     work = [(xi, method) for xi in model.domain.sample(6, np.random.default_rng(27))
             for method in ("primal", "dual", "primal-dual", "saddle")]
     serial = ReducedCache(model, V, WQ)
@@ -433,8 +433,8 @@ def test_map_points_builds_blocks_in_calling_thread(
     builders = []
     for name, build in list(projectors._GROUPS.items()):
         monkeypatch.setitem(projectors._GROUPS, name,
-                            lambda c, g, build=build:
-                            builders.append(threading.get_ident()) or build(c, g))
+                            lambda c, g, o, build=build:
+                            builders.append(threading.get_ident()) or build(c, g, o))
     cache = ReducedCache(spd_small, V, WQ)
     xis = spd_small.domain.sample(12, np.random.default_rng(28))
     got = projectors.map_points(lambda xi: cache.solve(xi, method).s_tilde,
