@@ -105,7 +105,9 @@ class _Blocks:
 
     Full-order work goes through :meth:`point`, :meth:`residual` and
     :meth:`residual_norm`, which read ``b``, ``XT`` = R^{-1} A^T T and the
-    subclass's ``_apply_A(x)`` = A x; :meth:`weights` fits lambda(xi).
+    subclass's ``_apply_A(x)`` = A x; :meth:`weights` fits lambda(xi).  The
+    residual norms expanded over the blocks fall back to :meth:`residual`
+    where the expansion cancels to zero or below.
 
     Subclasses also set ``model``, ``spd``, ``l``, ``xi``, the columns ``Vc``
     and ``Tc`` of V and T, the dimensions ``r``, ``k``, ``p`` of V, WQ and T,
@@ -243,13 +245,23 @@ class _Blocks:
              else precond.apply(self.weights(precond), r))
         return self.model.v0_norm(x)
 
+    def _expanded_norm(self, val, x):
+        """sqrt(val), a residual norm squared expanded over the cached
+        blocks.  Where the expansion cancels to val <= 0 the residual is
+        below its rounding there, and a certified bound of 0 would bound
+        nothing: the norm of b - A x is then taken at full order, at the
+        full-order point ``x()``."""
+        if val > 0.0:
+            return np.sqrt(val)
+        return self.model.v0_dual_norm(self.residual(x()))
+
     def primal_residual_norm(self, U):
         """|| b - A V U || in the R_V0 dual norm."""
         s0 = float(self.Rbb.item())
         if self.r == 0 or U is None or U.size == 0:
             return np.sqrt(max(s0, 0.0))
         val = float(U @ (self.RAA @ U) - 2.0 * (self.RAb.ravel() @ U) + s0)
-        return np.sqrt(max(val, 0.0))
+        return self._expanded_norm(val, lambda: self.Vc @ U)
 
     def min_residual_over_T(self):
         """min over t in T of || A t - b || in the R_V0 dual norm."""
@@ -257,8 +269,8 @@ class _Blocks:
         if self.p == 0:
             return np.sqrt(max(s0, 0.0))
         q = self.RTb.ravel()
-        val = s0 - float(q @ self.factor("RTT").solve(q))
-        return np.sqrt(max(val, 0.0))
+        t = self.factor("RTT").solve(q)
+        return self._expanded_norm(s0 - float(q @ t), lambda: self.Tc @ t)
 
     def dual_schur(self, space="WQ"):
         """G_LL - C^T K^{-1} C over WQ or T: the Gram of the dual-residual

@@ -24,42 +24,33 @@ TOL_RANK = 1e-10
 
 
 class Basis:
-    """Append-only matrix of G-orthonormal columns spanning a reduced space.
-
-    The columns are the first ``dim`` of a row-major buffer whose capacity
-    doubles when it fills, so an append copies no earlier column in most
-    calls.  A view of the columns stays valid after later appends: they only
-    write past it, or into a new buffer.  Up to four columns the buffer fits
-    them exactly, since OpenBLAS rounds a matrix-vector product over fewer
-    than four strided columns differently from the contiguous one.
-    """
+    """Append-only matrix of G-orthonormal columns spanning a reduced space."""
 
     def __init__(self, gram, n=None, name=""):
         self.gram = gram
         if n is None:
             n = gram.shape[0]
-        self._buf = np.zeros((n, 0))
-        self.dim = 0
+        self._cols = np.zeros((n, 0))
         self.name = name
 
     @property
     def n(self):
-        return self._buf.shape[0]
+        return self._cols.shape[0]
 
     @property
-    def _cols(self):
-        return self._buf[:, :self.dim]
+    def dim(self):
+        return self._cols.shape[1]
 
     @property
     def columns(self):
         """Read-only view of the current columns."""
-        view = self._cols
+        view = self._cols.view()
         view.setflags(write=False)
         return view
 
     def copy(self):
         out = Basis(self.gram, self.n, self.name)
-        out._buf, out.dim = self._cols.copy(), self.dim
+        out._cols = self._cols.copy()
         return out
 
     def gram_norm(self, v):
@@ -86,12 +77,7 @@ class Basis:
         norm_out = self.gram_norm(w)
         if norm_out <= TOL_RANK * norm_in:
             return False
-        if self.dim == self._buf.shape[1]:
-            buf = np.empty((self.n, self.dim + 1 if self.dim < 4 else 2 * self.dim))
-            buf[:, :self.dim] = self._cols
-            self._buf = buf
-        self._buf[:, self.dim] = w / norm_out
-        self.dim += 1
+        self._cols = np.column_stack([self._cols, w / norm_out])
         return True
 
     def extend(self, M):
@@ -107,7 +93,8 @@ class Basis:
         """Write columns as a MatrixMarket array plus a JSON manifest."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        mmwrite(str(path), self._cols, precision=17)
+        mmwrite(str(path), self._cols if self.dim else np.zeros((self.n, 0)),
+                precision=17)
         manifest = {
             "name": self.name,
             "n": int(self.n),
@@ -133,7 +120,7 @@ class Basis:
         if cols.shape != (basis.n, manifest["dim"]) or not np.all(np.isfinite(cols)):
             raise GoromError(f"{path} does not hold {basis.n} x {manifest['dim']} finite "
                              "entries as its manifest says; re-run gorom offline")
-        basis._buf, basis.dim = cols, cols.shape[1]
+        basis._cols = cols
         return basis
 
     def __repr__(self):

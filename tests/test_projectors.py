@@ -463,6 +463,25 @@ def test_consistency_when_exact_everywhere(spd_small, spd_spaces):
     assert np.linalg.norm(saddle_spd_solve(spd_small, xi, T).s_tilde - s) <= tol
 
 
+def test_cancelled_residual_norms_fall_back_to_full_order(spd_small, spd_spaces):
+    # at a point whose solution lies in V and in T the residual norms that
+    # are expanded over the cached blocks cancel to rounding.  Where they
+    # cancel to zero or below (forced here by lowering b^T R_V0^{-1} b), the
+    # norm is taken at full order instead of clamped to a certified 0
+    V, WQ = spd_spaces
+    xi = spd_small.domain.sample(1, np.random.default_rng(27))[0]
+    u, _ = truth_solve(spd_small, xi)
+    Vx = V.copy()
+    Vx.append(u)
+    blocks = ReducedCache(spd_small, Vx, WQ).at(xi)
+    b_norm = spd_small.v0_dual_norm(spd_small.rhs_at(xi))
+    U = blocks.solve_primal().primal_coeffs
+    assert blocks.p > Vx.dim
+    blocks.Rbb = blocks.Rbb - b_norm ** 2
+    for got in (blocks.primal_residual_norm(U), blocks.min_residual_over_T()):
+        assert 0.0 < got <= 1e-10 * b_norm
+
+
 # ---------------------------------------------------------------------------
 # cached blocks one by one, coefficient evaluations and the domain guard
 # ---------------------------------------------------------------------------
