@@ -14,8 +14,11 @@ def dense(M):
     return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
 
 
-def as_columns(X):
-    """Accept a Basis or a column matrix/vector; return an (n, m) ndarray."""
+def as_columns(X, n=None):
+    """The columns of a Basis, a column matrix or a vector (one column) as an
+    (n, m) float ndarray; ``None`` is the empty space, an (n, 0) array."""
+    if X is None:
+        return np.zeros((n, 0))
     cols = getattr(X, "columns", X)
     cols = np.asarray(cols, dtype=float)
     if cols.ndim == 1:

@@ -95,12 +95,8 @@ def _delta_alpha(d, energy):
 
 def _delta_l(d, energy):
     """delta_L of the test space S = d.Qc."""
-    Lt = d.Ld.T
-    if d.k:
-        C = d.QL if energy else d.AtQ.T @ d.zL
-        Dres = Lt - d.AtQ @ _solve(d, energy, C, "delta_L")
-    else:
-        Dres = Lt
+    C = d.QL if energy else d.AtQ.T @ d.zL
+    Dres = d.Ld.T - d.AtQ @ _solve(d, energy, C, "delta_L")
     if energy:
         G = Dres.T @ Factorization(d.A, spd=True).solve(Dres)
     else:

@@ -25,7 +25,6 @@ import numpy as np
 
 from ._linalg import eig_extreme
 from .exceptions import UnsupportedModelError
-from .projectors import DirectBlocks, ReducedCache
 
 __all__ = [
     "EstimateRecord",
@@ -174,15 +173,14 @@ def estimate_error(model, sol, alpha="auto", precond=None):
 def select_output_direction(model, xi, dual_space, method="saddle"):
     """Worst output direction z' for partial dual enrichment.
 
-    ``dual_space`` is a :class:`ReducedCache` (block path) or a basis /
-    column matrix (direct path).  The primal-dual variant maximizes the
-    dual residual of the current projected dual operator; the saddle
-    variant maximizes the minimized dual residual.  Returns z' with unit
-    output dual norm; top-eigenspace ties break deterministically to the
-    lexicographically largest sign-fixed eigenvector.
+    ``dual_space`` is the :class:`~gorom.projectors.ReducedCache` of the
+    current dual space.  The primal-dual variant maximizes the dual residual
+    of the current projected dual operator; the saddle variant maximizes the
+    minimized dual residual.  Returns z' with unit output dual norm;
+    top-eigenspace ties break deterministically to the lexicographically
+    largest sign-fixed eigenvector.
     """
-    blocks = (dual_space.at(xi) if isinstance(dual_space, ReducedCache)
-              else DirectBlocks(model, xi, WQ=dual_space))
+    blocks = dual_space.at(xi)
     M = blocks.pd_dual_matrix() if method == "primal-dual" \
         else blocks.dual_schur("WQ")
     _, _, (w, vecs) = eig_extreme(M, model.gram_z_inv, largest=True)

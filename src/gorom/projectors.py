@@ -127,6 +127,11 @@ class _Blocks:
     ``QAQ`` and a checked Cholesky of ``KQ``, ``KT`` and ``RTT``, each
     raising the :class:`ReducedSolveError` that names its system when the
     matrix is singular to working precision (a T with dependent columns).
+
+    Every dimension, 0 included, takes this one path: an empty V, WQ or T
+    gives blocks without rows or columns, zero outputs and empty coefficient
+    vectors.  Only the factors of :mod:`gorom._linalg` special-case an empty
+    matrix.
     """
 
     _aliases = {}
@@ -159,14 +164,12 @@ class _Blocks:
 
     def solve_primal(self):
         U = self.factor("WAV").solve(self.Wb.ravel())
-        s = self.LV @ U if self.r else np.zeros(self.l)
-        return OutputEstimate(np.asarray(s), "primal", primal_coeffs=U, blocks=self)
+        return OutputEstimate(np.asarray(self.LV @ U), "primal", primal_coeffs=U,
+                              blocks=self)
 
     def dual_correction(self, rhs):
         """Dual coefficients for the residual functional ``rhs`` on WQ, and
         the output correction L Q_k^* r they induce."""
-        if self.k == 0:
-            return np.zeros(0), np.zeros(self.l)
         if self.spd:
             Y = self.factor("QAQ").solve(rhs)
             return Y, np.asarray(self.LQ @ Y)
@@ -174,23 +177,18 @@ class _Blocks:
         return Y, np.asarray(self.LXQ @ Y)
 
     def solve_dual_only(self):
-        Y, s = self.dual_correction(self.Qb.ravel() if self.k else np.zeros(0))
+        Y, s = self.dual_correction(self.Qb.ravel())
         return OutputEstimate(s, "dual", dual_coeffs=Y, blocks=self)
 
     def solve_primal_dual(self):
         primal = self.solve_primal()
-        rhs = (self.Qb.ravel() - self.QAV @ primal.primal_coeffs
-               if self.k else np.zeros(0))
-        Y, corr = self.dual_correction(rhs)
+        Y, corr = self.dual_correction(self.Qb.ravel() - self.QAV @ primal.primal_coeffs)
         return OutputEstimate(primal.s_tilde + corr, "primal-dual",
                               primal_coeffs=primal.primal_coeffs, dual_coeffs=Y,
                               blocks=self)
 
     def solve_saddle_spd(self):
         """Saddle projection, symmetric coercive form: one SPD system over T."""
-        if self.p == 0:
-            return OutputEstimate(np.zeros(self.l), "saddle", t_coeffs=np.zeros(0),
-                                  blocks=self)
         M = self.TAT
         Y = SpdFactor(0.5 * (M + M.T), "saddle reduced matrix").solve(self.Tb.ravel())
         return OutputEstimate(np.asarray(self.LT @ Y), "saddle", t_coeffs=Y,
@@ -204,9 +202,6 @@ class _Blocks:
                 "saddle space is empty while the primal space is not: "
                 "discrete inf-sup constant is zero"
             )
-        if p == 0:
-            return OutputEstimate(np.zeros(self.l), "saddle", primal_coeffs=np.zeros(0),
-                                  dual_coeffs=np.zeros(0), blocks=self)
         B = self.TAV
         big = np.block([[self.KT, B], [B.T, np.zeros((r, r))]])
         rhs = np.concatenate([self.Tb.ravel(), np.zeros(r)])
@@ -256,35 +251,28 @@ class _Blocks:
         return self.model.v0_dual_norm(self.residual(x()))
 
     def primal_residual_norm(self, U):
-        """|| b - A V U || in the R_V0 dual norm."""
-        s0 = float(self.Rbb.item())
-        if self.r == 0 or U is None or U.size == 0:
-            return np.sqrt(max(s0, 0.0))
-        val = float(U @ (self.RAA @ U) - 2.0 * (self.RAb.ravel() @ U) + s0)
+        """|| b - A V U || in the R_V0 dual norm, for the coefficient vector U
+        over V (of length r, so empty when V is)."""
+        val = float(U @ (self.RAA @ U) - 2.0 * (self.RAb.ravel() @ U) + self.Rbb.item())
         return self._expanded_norm(val, lambda: self.Vc @ U)
 
     def min_residual_over_T(self):
         """min over t in T of || A t - b || in the R_V0 dual norm."""
-        s0 = float(self.Rbb.item())
-        if self.p == 0:
-            return np.sqrt(max(s0, 0.0))
         q = self.RTb.ravel()
         t = self.factor("RTT").solve(q)
-        return self._expanded_norm(s0 - float(q @ t), lambda: self.Tc @ t)
+        return self._expanded_norm(self.Rbb.item() - float(q @ t), lambda: self.Tc @ t)
 
     def dual_schur(self, space="WQ"):
         """G_LL - C^T K^{-1} C over WQ or T: the Gram of the dual-residual
         minimization."""
         if space not in ("WQ", "T"):
             raise ValueError(f"unknown space {space!r}")
-        if (self.k if space == "WQ" else self.p) == 0:
-            return self.GLL
         K, C = ("KQ", self.CQ) if space == "WQ" else ("KT", self.CT)
         return self.GLL - C.T @ self.factor(K).solve(C)
 
     def pd_dual_matrix(self):
         """(L^* - A^* Q_k)-Gram in the R_V0 dual norm, as an l x l matrix."""
-        if self.k == 0 or not self.spd:
+        if not self.spd:
             return self.dual_schur("WQ")
         K, C = self.KQ, self.CQ
         qhat = self.factor("QAQ").solve(self.QL)
@@ -338,13 +326,10 @@ class DirectBlocks(_Blocks):
     }
 
     def __init__(self, model, xi, V=None, WQ=None, W=None, T=None, theta=None):
-        def cols(X):
-            return np.zeros((model.n, 0)) if X is None else as_columns(X)
-
         self.model, self.xi = model, xi
         self.spd, self.l = model.symmetry == "spd", model.l
         self._theta, self._factors = {} if theta is None else theta, {}
-        self.Vc, self.Qc, self.Tc = cols(V), cols(WQ), cols(T)
+        self.Vc, self.Qc, self.Tc = (as_columns(X, model.n) for X in (V, WQ, T))
         self.Wc = self.Vc if W is None else as_columns(W)
         self.r, self.k, self.p = self.Vc.shape[1], self.Qc.shape[1], self.Tc.shape[1]
 
@@ -373,8 +358,6 @@ def orthogonal_project(model, xi, V, u=None, gram="model"):
     Vc = as_columns(V)
     if u is None:
         u, _ = truth_solve(model, xi)
-    if Vc.shape[1] == 0:
-        return np.zeros(0)
     G = model.v_gram_at(xi) if gram == "model" else model.gram_v0
     GV = G @ Vc
     M = Vc.T @ GV
@@ -710,9 +693,7 @@ class ReducedCache:
 
     def __init__(self, model, V=None, WQ=None, precond=None, previous=None):
         self.model = model
-        n = model.n
-        self.Vc = as_columns(V) if V is not None else np.zeros((n, 0))
-        self.WQc = as_columns(WQ) if WQ is not None else np.zeros((n, 0))
+        self.Vc, self.WQc = as_columns(V, model.n), as_columns(WQ, model.n)
         self.precond = precond
         self.r, self.k = self.Vc.shape[1], self.WQc.shape[1]
         self._spd = model.symmetry == "spd"
@@ -782,8 +763,7 @@ class ReducedCache:
             # from the stored factorizations and the cached R_V0 factor; the
             # solution carries the DirectBlocks at xi, which its estimate reads,
             # and they share theta and the weights W was built from
-            W = blocks.Ys if self.r else np.zeros((self.model.n, 0))
-            T = union_basis([W, self.WQc], gram=self.model.gram_v0, name="T")
+            T = union_basis([blocks.Ys, self.WQc], gram=self.model.gram_v0, name="T")
             blocks = DirectBlocks(self.model, xi, V=self.Vc, T=T, theta=blocks._theta)
         return blocks.solve_saddle_spd() if self._spd else blocks.solve_saddle_general()
 
@@ -800,7 +780,8 @@ class ReducedCache:
     # The names stay for callers outside the package, perfbench among them.
 
     def primal_residual_norm(self, xi, U):
-        """|| b(xi) - A(xi) V U || in the R_V0 dual norm, via cached blocks."""
+        """|| b(xi) - A(xi) V U || in the R_V0 dual norm, via cached blocks,
+        for the coefficient vector U over V (empty when V is)."""
         return self.at(xi).primal_residual_norm(U)
 
     def residual_vector(self, xi, U):

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import mmread, mmwrite
 
+from ._linalg import as_columns
 from .exceptions import GoromError
 
 __all__ = ["Basis", "union_basis"]
@@ -72,8 +73,7 @@ class Basis:
             return False
         w = v.copy()
         for _ in range(2):
-            if self.dim:
-                w -= self._cols @ (self._cols.T @ (self.gram @ w))
+            w -= self._cols @ (self._cols.T @ (self.gram @ w))
         norm_out = self.gram_norm(w)
         if norm_out <= TOL_RANK * norm_in:
             return False
@@ -82,10 +82,7 @@ class Basis:
 
     def extend(self, M):
         """Append the columns of M in order; returns the number accepted."""
-        M = np.asarray(M, dtype=float)
-        if M.ndim == 1:
-            M = M[:, None]
-        return sum(int(self.append(col)) for col in M.T)
+        return sum(int(self.append(col)) for col in as_columns(M).T)
 
     # -- persistence -----------------------------------------------------
 
@@ -93,8 +90,7 @@ class Basis:
         """Write columns as a MatrixMarket array plus a JSON manifest."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        mmwrite(str(path), self._cols if self.dim else np.zeros((self.n, 0)),
-                precision=17)
+        mmwrite(str(path), self._cols, precision=17)
         manifest = {
             "name": self.name,
             "n": int(self.n),
@@ -133,15 +129,10 @@ def union_basis(parts, gram, name=""):
     ``parts`` is a sequence of Basis instances or column matrices; columns
     are appended in the given order with deflation of dependent directions.
     """
-    parts = [p for p in parts if p is not None]
+    parts = [as_columns(p) for p in parts if p is not None]
     if not parts:
         raise ValueError("union_basis needs at least one part")
-    first = parts[0]
-    n = first.n if isinstance(first, Basis) else np.asarray(first).shape[0]
-    out = Basis(gram, n, name=name)
-    for p in parts:
-        cols = p.columns if isinstance(p, Basis) else np.asarray(p, dtype=float)
-        if cols.ndim == 1:
-            cols = cols[:, None]
+    out = Basis(gram, parts[0].shape[0], name=name)
+    for cols in parts:
         out.extend(cols)
     return out

@@ -403,15 +403,6 @@ def test_select_direction_resolved_dual(spd_small):
     assert spd_small.z_dual_norm(z) == pytest.approx(1.0, rel=1e-10)
 
 
-def test_select_direction_direct_path_matches_cache(gen_small, gen_spaces):
-    _, WQ = gen_spaces
-    xi = gen_small.domain.sample(1, np.random.default_rng(14))[0]
-    cache = ReducedCache(gen_small, None, WQ)
-    z_cache = select_output_direction(gen_small, xi, cache, "saddle")
-    z_direct = select_output_direction(gen_small, xi, WQ, "saddle")
-    np.testing.assert_allclose(z_cache, z_direct, atol=1e-9)
-
-
 def test_effectivity_report_trivia():
     rep = effectivity_report([2.0, 2.0, 2.0], [1.0, 1.0, 1.0], bins=4)
     assert rep.mean == 2.0 and rep.maxmin_ratio == 1.0 and rep.nstd == 0.0

@@ -106,11 +106,36 @@ def test_dual_only_exact_space_is_exact(spd_small):
     assert np.linalg.norm(est.s_tilde - s) <= 1e-9 * np.linalg.norm(s)
 
 
-def test_dual_only_empty_space(spd_small):
-    xi = spd_small.domain.sample(1, np.random.default_rng(7))[0]
-    WQ = Basis(spd_small.gram_v0, spd_small.n)
-    est = dual_only_solve(spd_small, xi, WQ)
-    assert np.all(est.s_tilde == 0.0)
+def test_dual_only_empty_space(spd_small, gen_small):
+    # with V, WQ and T empty, every route, residual norm and Schur complement
+    # runs its ordinary path on both providers: zero outputs of length l,
+    # empty coefficient vectors, and Schur complements equal to G_LL
+    from gorom import ReducedSolveError
+    from gorom.projectors import DirectBlocks
+    for model in (spd_small, gen_small):
+        xi = model.domain.sample(1, np.random.default_rng(7))[0]
+        empty = Basis(model.gram_v0, model.n)
+        assert np.array_equal(dual_only_solve(model, xi, empty).s_tilde, np.zeros(model.l))
+        for blocks in (DirectBlocks(model, xi), ReducedCache(model, None, None).at(xi)):
+            assert (blocks.r, blocks.k, blocks.p) == (0, 0, 0)
+            saddle = (blocks.solve_saddle_spd if model.symmetry == "spd"
+                      else blocks.solve_saddle_general)
+            for est in (blocks.solve_primal(), blocks.solve_dual_only(),
+                        blocks.solve_primal_dual(), saddle()):
+                assert np.array_equal(est.s_tilde, np.zeros(model.l))
+                for coeffs in (est.primal_coeffs, est.dual_coeffs, est.t_coeffs):
+                    assert coeffs is None or coeffs.shape == (0,)
+            norm_b = np.sqrt(blocks.Rbb.item())
+            assert blocks.primal_residual_norm(np.zeros(0)) == norm_b
+            assert blocks.min_residual_over_T() == norm_b
+            for M in (blocks.dual_schur("WQ"), blocks.dual_schur("T"),
+                      blocks.pd_dual_matrix()):
+                assert np.array_equal(M, blocks.GLL)
+        # an empty saddle space under a nonempty primal space is refused
+        V = Basis(model.gram_v0, model.n)
+        V.append(truth_solve(model, xi)[0])
+        with pytest.raises(ReducedSolveError, match="inf-sup"):
+            saddle_general_solve(model, xi, V, empty)
 
 
 @pytest.mark.parametrize("which", ["spd", "general"])
@@ -480,6 +505,12 @@ def test_cancelled_residual_norms_fall_back_to_full_order(spd_small, spd_spaces)
     blocks.Rbb = blocks.Rbb - b_norm ** 2
     for got in (blocks.primal_residual_norm(U), blocks.min_residual_over_T()):
         assert 0.0 < got <= 1e-10 * b_norm
+    # empty spaces: both expansions are b^T R_V0^{-1} b alone, so a cancelled
+    # one is the full-order || b ||, not 0
+    empty = ReducedCache(spd_small, None, None).at(xi)
+    empty.Rbb = -empty.Rbb
+    for got in (empty.primal_residual_norm(np.zeros(0)), empty.min_residual_over_T()):
+        assert got == pytest.approx(b_norm, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
