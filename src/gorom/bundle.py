@@ -24,17 +24,24 @@ Coefficient descriptors are ``{"kind": "constant", "c": 1.0}`` or
 ``{"kind": "monomial", "c": 1.0, "exponents": [0, 1, ...]}``.  All numbers
 are serialized with full float64 round-trip precision, so store -> load
 reproduces matrix entries bit-exactly.
+
+This module owns the package's file formats: one JSON writer and reader and
+one MatrixMarket writer and reader, which bases, traces and the CLI use too.
+A reader turns a missing or unparseable file into one ``GoromError`` of the
+class its caller names, with the file's path in the message.
 """
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
 
+from ._linalg import dense
 from .affine import AffineForm, CoefficientFn, ParameterDomain
-from .exceptions import BundleFormatError
+from .exceptions import BundleFormatError, GoromError
 from .model import FullOrderModel
 
 __all__ = ["store_bundle", "load_bundle", "BUNDLE_FORMAT", "BUNDLE_VERSION"]
@@ -45,37 +52,61 @@ BUNDLE_VERSION = 1
 _MM_PRECISION = 17
 
 
-def _write_matrix(path, M, vector=False):
-    if vector:
-        M = np.asarray(M, dtype=float).reshape(-1, 1)
+def write_json(path, obj):
+    """One-space indent and a final newline, the layout of every JSON file written."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1)
+        fh.write("\n")
+
+
+def write_matrix(path, M):
+    """A vector is written as one column, a sparse matrix in coordinates."""
     if sp.issparse(M):
         M = M.tocoo()
+    elif np.ndim(M) == 1:
+        M = np.asarray(M, dtype=float).reshape(-1, 1)
     mmwrite(str(path), M, precision=_MM_PRECISION)
 
 
-def _read_matrix(path, vector=False):
-    if not Path(path).is_file():
-        raise BundleFormatError(f"bundle is missing file {Path(path).name!r}")
-    M = mmread(str(path))
-    if vector:
-        return np.asarray(M, dtype=float).ravel()
+@contextmanager
+def _parsing(path, error):
+    """Turn a missing or unparseable file into one ``error`` naming it."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise error(f"missing file {path}") from None
+    except ValueError as exc:
+        raise error(f"malformed {path}: {exc}") from None
+
+
+def read_json(path, error=GoromError):
+    with _parsing(path, error), open(path) as fh:
+        return json.load(fh)
+
+
+def read_matrix(path, error=GoromError):
+    """A sparse file as CSR, a dense one as a float array."""
+    with _parsing(path, error):
+        M = mmread(str(path))
     return M.tocsr() if sp.issparse(M) else np.asarray(M, dtype=float)
 
 
-def _form_entries(form, stem, directory, vector=False):
+def _form_entries(form, stem, directory):
     entries = []
     for i, (coeff, term) in enumerate(form.terms):
         fname = f"{stem}_{i:03d}.mtx"
-        _write_matrix(directory / fname, term, vector=vector)
+        write_matrix(directory / fname, term)
         entries.append({"coeff": coeff.to_dict(), "file": fname})
     return entries
 
 
-def _form_from_entries(entries, directory, shape, vector=False, what=""):
+def _form_from_entries(entries, directory, shape, what):
     terms = []
     for entry in entries:
         coeff = CoefficientFn.from_dict(entry["coeff"])
-        term = _read_matrix(directory / entry["file"], vector=vector)
+        term = read_matrix(directory / entry["file"], BundleFormatError)
+        if len(shape) == 1:
+            term = dense(term).ravel()
         if term.shape != shape:
             raise BundleFormatError(
                 f"{what} term {entry['file']!r} has shape {term.shape}, expected {shape}"
@@ -98,29 +129,21 @@ def store_bundle(model, path):
         "xi_ref": model.xi_ref.tolist(),
         "domain": model.domain.to_dict(),
         "operator": _form_entries(model.A, "A", directory),
-        "rhs": _form_entries(model.b, "b", directory, vector=True),
+        "rhs": _form_entries(model.b, "b", directory),
         "output": _form_entries(model.L, "L", directory),
         "gram_v0": "R_V0.mtx",
         "gram_z": "R_Z.mtx",
     }
-    _write_matrix(directory / "R_V0.mtx", model.gram_v0)
-    _write_matrix(directory / "R_Z.mtx", model.gram_z)
-    with open(directory / "model.json", "w") as fh:
-        json.dump(meta, fh, indent=1)
-        fh.write("\n")
+    write_matrix(directory / "R_V0.mtx", model.gram_v0)
+    write_matrix(directory / "R_Z.mtx", model.gram_z)
+    write_json(directory / "model.json", meta)
 
 
 def load_bundle(path):
     """Load a bundle directory into a :class:`FullOrderModel`."""
     directory = Path(path)
     meta_path = directory / "model.json"
-    if not meta_path.is_file():
-        raise BundleFormatError(f"bundle is missing file 'model.json' in {directory}")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise BundleFormatError(f"malformed model.json: {exc}") from exc
+    meta = read_json(meta_path, BundleFormatError)
     if meta.get("format") != BUNDLE_FORMAT:
         raise BundleFormatError(f"not a {BUNDLE_FORMAT} bundle: {meta_path}")
     if meta.get("version") != BUNDLE_VERSION:
@@ -129,11 +152,11 @@ def load_bundle(path):
         n = int(meta["n"])
         l = int(meta["l"])
         domain = ParameterDomain.from_dict(meta["domain"])
-        A = _form_from_entries(meta["operator"], directory, (n, n), what="operator")
-        b = _form_from_entries(meta["rhs"], directory, (n,), vector=True, what="rhs")
-        L = _form_from_entries(meta["output"], directory, (l, n), what="output")
-        gram_v0 = _read_matrix(directory / meta["gram_v0"])
-        gram_z = _read_matrix(directory / meta["gram_z"])
+        A = _form_from_entries(meta["operator"], directory, (n, n), "operator")
+        b = _form_from_entries(meta["rhs"], directory, (n,), "rhs")
+        L = _form_from_entries(meta["output"], directory, (l, n), "output")
+        gram_v0 = read_matrix(directory / meta["gram_v0"], BundleFormatError)
+        gram_z = read_matrix(directory / meta["gram_z"], BundleFormatError)
         return FullOrderModel(
             A, b, L, gram_v0, gram_z, domain,
             symmetry=meta["symmetry"],

@@ -20,12 +20,17 @@ the points from the bundle's parameter domain.  All numeric CSV fields are
 written with full float64 round-trip precision; reruns with identical
 seeds produce identical rows (the ``wall_time_ms`` column of ``eval`` is
 the one measurement-driven exception).
+
+The point commands (``truth``, ``eval``, ``constants``, ``estimate`` and
+``compare``) share one declaration of ``--bundle``, ``--spaces``, the point
+source and ``--out``, and all but ``compare`` write their tables through one
+writer that puts ``xi1..xid`` first.  The JSON and MatrixMarket formats, and
+the refusal of an input file that does not parse, live in :mod:`gorom.bundle`.
 """
 
 import argparse
 import csv
 import hashlib
-import json
 import sys
 import time
 from datetime import datetime, timezone
@@ -34,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bundle import load_bundle, store_bundle
+from .bundle import load_bundle, read_json, store_bundle, write_json
 from .constants import compute_constants
 from .estimators import effectivity_report, estimate_error
 from .exceptions import GoromError, GreedyAborted
@@ -61,13 +66,24 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(x) for x in row])
 
 
+def _columns(prefix, count):
+    return [f"{prefix}{j + 1}" for j in range(count)]
+
+
+def _write_points(args, model, xis, header, rows, what):
+    """A point command's table: one row per point, ``xi1..xid`` first."""
+    _write_csv(args.out, _columns("xi", model.d) + header,
+               [[*xi, *row] for xi, row in zip(xis, rows)])
+    print(f"wrote {len(xis)} {what} to {args.out}")
+
+
 def _read_xi(args, model):
     if args.xi_file:
         with open(args.xi_file, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             try:
-                cols = [header.index(f"xi{j + 1}") for j in range(model.d)]
+                cols = [header.index(h) for h in _columns("xi", model.d)]
             except ValueError:
                 raise GoromError(
                     f"{args.xi_file}: expected columns xi1..xi{model.d}"
@@ -96,7 +112,7 @@ def _bundle_hash(path):
 
 
 def _write_manifest(outdir, command, config, seeds, bundle=None):
-    manifest = {
+    write_json(Path(outdir) / "manifest.json", {
         "tool": "gorom",
         "version": __version__,
         "command": command,
@@ -104,10 +120,7 @@ def _write_manifest(outdir, command, config, seeds, bundle=None):
         "seeds": seeds,
         "bundle_hash": _bundle_hash(bundle) if bundle else None,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(Path(outdir) / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    })
 
 
 def save_spaces(result, outdir):
@@ -117,9 +130,7 @@ def save_spaces(result, outdir):
     result.WQ.save(outdir / "WQ.mtx")
     result.trace.save(outdir / "trace.json")
     if result.precond is not None:
-        with open(outdir / "precond.json", "w") as fh:
-            json.dump(result.precond.to_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(outdir / "precond.json", result.precond.to_dict())
 
 
 def load_spaces(model, path, bundle):
@@ -132,29 +143,22 @@ def load_spaces(model, path, bundle):
     path = Path(path)
     mfile = path / "manifest.json"
     if mfile.is_file():
-        with open(mfile) as fh:
-            expected = json.load(fh).get("bundle_hash")
+        expected = read_json(mfile).get("bundle_hash")
         if expected is not None and expected != _bundle_hash(bundle):
             raise GoromError(f"{path} was built from another bundle than {bundle}, "
                              "or by an older gorom; re-run gorom offline on this bundle")
     V = Basis.load(path / "V.mtx", model.gram_v0)
     WQ = Basis.load(path / "WQ.mtx", model.gram_v0)
-    precond = None
     pfile = path / "precond.json"
-    if pfile.is_file():
-        with open(pfile) as fh:
-            precond = InverseInterpolant.from_dict(model, json.load(fh))
-    return V, WQ, precond
+    return V, WQ, (InverseInterpolant.from_dict(model, read_json(pfile))
+                   if pfile.is_file() else None)
 
 
 def _load_all(args):
+    """The model, V, WQ, interpolant (or None) and points of a command over spaces."""
     model = load_bundle(args.bundle)
     V, WQ, precond = load_spaces(model, args.spaces, args.bundle)
-    return model, V, WQ, precond
-
-
-def _xi_header(d):
-    return [f"xi{j + 1}" for j in range(d)]
+    return model, V, WQ, precond, _read_xi(args, model)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +184,7 @@ def cmd_generate(args):
 def cmd_offline(args):
     model = load_bundle(args.bundle)
     try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        raw = read_json(args.config)
         if args.precond:
             raw["precondition"] = True
         cfg = GreedyConfig.from_dict(raw)
@@ -209,16 +212,12 @@ def cmd_truth(args):
     model = load_bundle(args.bundle)
     xis = _read_xi(args, model)
     outs = map_points(lambda xi: truth_solve(model, xi)[1], xis, args.threads)
-    rows = [list(xi) + list(s) for xi, s in zip(xis, outs)]
-    header = _xi_header(model.d) + [f"s{j + 1}" for j in range(model.l)]
-    _write_csv(args.out, header, rows)
-    print(f"wrote {len(rows)} truth outputs to {args.out}")
+    _write_points(args, model, xis, _columns("s", model.l), outs, "truth outputs")
     return 0
 
 
 def cmd_eval(args):
-    model, V, WQ, precond = _load_all(args)
-    xis = _read_xi(args, model)
+    model, V, WQ, precond, xis = _load_all(args)
     cache = ReducedCache(model, V, WQ, precond=precond)
 
     def solve_one(xi):
@@ -227,53 +226,41 @@ def cmd_eval(args):
         return s, 1e3 * (time.perf_counter() - t0)
 
     results = map_points(solve_one, xis, args.threads)
-    rows = [list(xi) + list(s) + [args.method, f"{ms:.3f}"]
-            for xi, (s, ms) in zip(xis, results)]
-    header = _xi_header(model.d) + [f"s{j + 1}" for j in range(model.l)] \
-        + ["method", "wall_time_ms"]
-    _write_csv(args.out, header, rows)
-    print(f"wrote {len(rows)} estimates ({args.method}) to {args.out}")
+    _write_points(args, model, xis, _columns("s", model.l) + ["method", "wall_time_ms"],
+                  [[*s, args.method, f"{ms:.3f}"] for s, ms in results],
+                  f"estimates ({args.method})")
     return 0
 
 
 def cmd_constants(args):
-    model, V, WQ, _ = _load_all(args)
-    xis = _read_xi(args, model)
-    rows = []
-    for xi in xis:
-        rep = compute_constants(model, xi, V, WQ if args.space == "dual" else V)
-        rows.append(list(xi) + [rep.delta_vw, rep.delta_l, rep.alpha])
-    header = _xi_header(model.d) + ["delta_vw", "delta_l", "alpha"]
-    _write_csv(args.out, header, rows)
-    print(f"wrote {len(rows)} constant reports to {args.out}")
+    model, V, WQ, _, xis = _load_all(args)
+    test = WQ if args.space == "dual" else V
+    reps = [compute_constants(model, xi, V, test) for xi in xis]
+    _write_points(args, model, xis, ["delta_vw", "delta_l", "alpha"],
+                  [[rep.delta_vw, rep.delta_l, rep.alpha] for rep in reps],
+                  "constant reports")
     return 0
 
 
-def _estimates(model, cache, precond, method, alpha, xis, threads=None):
+def _estimates(cache, method, alpha, xis, threads):
     """(s_tilde, EstimateRecord) per point; a point's blocks end with its solution."""
     def one(xi):
         sol = cache.solve(xi, method)
-        return sol.s_tilde, estimate_error(model, sol, alpha, precond)
+        return sol.s_tilde, estimate_error(cache.model, sol, alpha, cache.precond)
 
     return map_points(one, xis, threads)
 
 
 def cmd_estimate(args):
-    model, V, WQ, precond = _load_all(args)
-    xis = _read_xi(args, model)
+    model, V, WQ, precond, xis = _load_all(args)
     cache = ReducedCache(model, V, WQ, precond=precond)
-    rows = []
-    for xi, (s, rec) in zip(xis, _estimates(model, cache, precond, args.method,
-                                              args.alpha, xis, args.threads)):
-        rows.append(list(xi) + [rec.delta, rec.primal_factor, rec.dual_factor,
-                                "" if rec.alpha is None else rec.alpha,
-                                rec.method, int(rec.certified)]
-                    + list(s))
-    header = _xi_header(model.d) + ["delta", "primal_factor", "dual_factor",
-                                    "alpha", "method", "certified"] \
-        + [f"s{j + 1}" for j in range(model.l)]
-    _write_csv(args.out, header, rows)
-    print(f"wrote {len(rows)} error estimates to {args.out}")
+    results = _estimates(cache, args.method, args.alpha, xis, args.threads)
+    rows = [[rec.delta, rec.primal_factor, rec.dual_factor,
+             "" if rec.alpha is None else rec.alpha, rec.method, int(rec.certified), *s]
+            for s, rec in results]
+    _write_points(args, model, xis, ["delta", "primal_factor", "dual_factor", "alpha",
+                                     "method", "certified"] + _columns("s", model.l),
+                  rows, "error estimates")
     return 0
 
 
@@ -287,7 +274,7 @@ def cmd_stats(args):
     def load(path):
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             return header, list(reader)
 
     est_header, est_rows = load(args.est)
@@ -324,7 +311,7 @@ def cmd_stats(args):
         report = effectivity_report(deltas, errors, s_norms=snorms, bins=args.bins)
     except ValueError as exc:
         raise GoromError(f"{pair}: {exc}") from None
-    payload = {
+    write_json(args.out, {
         "mean": report.mean,
         "maxmin_ratio": report.maxmin_ratio,
         "nstd": report.nstd,
@@ -334,34 +321,24 @@ def cmd_stats(args):
             "edges": report.hist_edges.tolist(),
             "counts": report.hist_counts.tolist(),
         },
-    }
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    })
     print(f"eta mean={report.mean:.4g} maxmin={report.maxmin_ratio:.4g} "
           f"nstd={report.nstd:.4g} -> {args.out}")
     return 0
 
 
 def cmd_compare(args):
-    model, V, WQ, precond = _load_all(args)
-    xis = _read_xi(args, model)
+    model, V, WQ, precond, xis = _load_all(args)
     trace_file = Path(args.spaces) / "trace.json"
-    nfact = ""
-    if trace_file.is_file():
-        with open(trace_file) as fh:
-            tr = json.load(fh)
-        if tr["iterations"]:
-            nfact = tr["iterations"][-1]["factorizations"]
-    truth = map_points(lambda xi: truth_solve(model, xi)[1], xis,
-                          args.threads)
+    iterations = read_json(trace_file)["iterations"] if trace_file.is_file() else []
+    nfact = iterations[-1]["factorizations"] if iterations else ""
+    truth = map_points(lambda xi: truth_solve(model, xi)[1], xis, args.threads)
     cache = ReducedCache(model, V, WQ, precond=precond)
     rows = []
     for method in METHODS:
         sup_delta = ""
         if method in ("primal-dual", "saddle"):
-            results = _estimates(model, cache, precond, method, "auto", xis,
-                                 args.threads)
+            results = _estimates(cache, method, "auto", xis, args.threads)
             sup_delta = max(rec.delta for _, rec in results)
             ss = [s for s, _ in results]
         else:
@@ -402,14 +379,24 @@ def _at_least(low):
 
 
 # map_points leaves the pool size to ThreadPoolExecutor when --threads is absent
-_POOL_DEFAULT = "default: min(32, cores + 4), the thread pool's own"
+_THREADS = dict(type=_at_least(1), default=None, help="worker threads for per-point "
+                "work (default: min(32, cores + 4), the thread pool's own)")
 
 
-def _add_xi_args(p):
+def _point_command(sub, name, help, func, spaces=True):
+    """A subcommand over parameter points with --bundle, --spaces, the point
+    source and --out; the caller adds the command's own flags."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--bundle", required=True)
+    if spaces:
+        p.add_argument("--spaces", required=True)
     p.add_argument("--xi-file", help="CSV with columns xi1..xid")
     p.add_argument("--sample-count", type=_at_least(0), default=0,
                    help="draw this many points from the parameter domain")
     p.add_argument("--sample-seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser():
@@ -441,44 +428,22 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_offline)
 
-    p = sub.add_parser("truth", help="full-order outputs at sample points")
-    p.add_argument("--bundle", required=True)
-    _add_xi_args(p)
-    p.add_argument("--threads", type=_at_least(1), default=None,
-                   help=f"worker threads for per-point work ({_POOL_DEFAULT})")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_truth)
+    p = _point_command(sub, "truth", "full-order outputs at sample points", cmd_truth,
+                       spaces=False)
+    p.add_argument("--threads", **_THREADS)
 
-    p = sub.add_parser("eval", help="online reduced output estimates")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--spaces", required=True)
+    p = _point_command(sub, "eval", "online reduced output estimates", cmd_eval)
     p.add_argument("--method", choices=METHODS, required=True)
-    _add_xi_args(p)
-    p.add_argument("--threads", type=_at_least(1), default=None,
-                   help=f"worker threads for per-point solves ({_POOL_DEFAULT})")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--threads", **_THREADS)
 
-    p = sub.add_parser("constants", help="quasi-optimality constants")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--spaces", required=True)
+    p = _point_command(sub, "constants", "quasi-optimality constants", cmd_constants)
     p.add_argument("--space", choices=("dual", "primal"), default="dual",
                    help="test space for delta_L (default: the dual space)")
-    _add_xi_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("estimate", help="online error estimates")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--spaces", required=True)
+    p = _point_command(sub, "estimate", "online error estimates", cmd_estimate)
     p.add_argument("--method", choices=("primal-dual", "saddle"), required=True)
-    p.add_argument("--alpha", choices=("auto", "min-theta", "none"),
-                   default="auto")
-    _add_xi_args(p)
-    p.add_argument("--threads", type=_at_least(1), default=None,
-                   help=f"worker threads for per-point work ({_POOL_DEFAULT})")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_estimate)
+    p.add_argument("--alpha", choices=("auto", "min-theta", "none"), default="auto")
+    p.add_argument("--threads", **_THREADS)
 
     p = sub.add_parser("stats", help="effectivity statistics")
     p.add_argument("--est", required=True, help="output of gorom estimate")
@@ -488,14 +453,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("compare", help="error norms and costs per method")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--spaces", required=True)
-    _add_xi_args(p)
-    p.add_argument("--threads", type=_at_least(1), default=None,
-                   help=f"worker threads for per-point work ({_POOL_DEFAULT})")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare)
+    p = _point_command(sub, "compare", "error norms and costs per method", cmd_compare)
+    p.add_argument("--threads", **_THREADS)
 
     return parser
 

@@ -43,13 +43,13 @@ trace.json schema (written by ``GreedyTrace.save``)::
     }
 """
 
-import json
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from ._linalg import dense
+from .bundle import write_json
 from .estimators import estimate_error, select_output_direction
 from .exceptions import GoromError, GreedyAborted
 from .preconditioner import InverseInterpolant
@@ -155,9 +155,7 @@ class GreedyTrace:
         }
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 @dataclass

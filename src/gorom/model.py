@@ -191,7 +191,11 @@ class FullOrderModel:
 
     def factorize_operator(self, xi):
         """Factorize A(xi); this is the offline cost unit."""
-        return Factorization(self.operator_at(xi), spd=(self.symmetry == "spd"))
+        return self.factorize_assembled(self.operator_at(xi))
+
+    def factorize_assembled(self, A):
+        """Factorize an operator already assembled, as SPD on an spd model."""
+        return Factorization(A, spd=(self.symmetry == "spd"))
 
     # -- Gram / Riesz machinery ----------------------------------------
 

@@ -288,7 +288,7 @@ def truth_solve(model, xi, factorization=None):
     """
     A = model.operator_at(xi)
     bvec = model.rhs_at(xi)
-    fact = factorization if factorization is not None else model.factorize_operator(xi)
+    fact = factorization if factorization is not None else model.factorize_assembled(A)
     u = fact.solve(bvec)
     r = bvec - A @ u
     res = np.linalg.norm(r, np.inf)
@@ -304,7 +304,7 @@ def dual_truth_solve(model, xi, factorization=None):
     refined like :func:`truth_solve`."""
     A = model.operator_at(xi)
     Lt = dense(model.output_at(xi)).T
-    fact = factorization if factorization is not None else model.factorize_operator(xi)
+    fact = factorization if factorization is not None else model.factorize_assembled(A)
     Q = fact.solve(Lt, transpose=True)
     R = Lt - A.T @ Q
     res = np.linalg.norm(R)

@@ -10,13 +10,12 @@ system that is still near singular is refused by its checked factor (see
 :mod:`gorom._linalg`).
 """
 
-import json
 from pathlib import Path
 
 import numpy as np
-from scipy.io import mmread, mmwrite
 
-from ._linalg import as_columns
+from ._linalg import as_columns, dense
+from .bundle import read_json, read_matrix, write_json, write_matrix
 from .exceptions import GoromError
 
 __all__ = ["Basis", "union_basis"]
@@ -90,29 +89,21 @@ class Basis:
         """Write columns as a MatrixMarket array plus a JSON manifest."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        mmwrite(str(path), self._cols, precision=17)
-        manifest = {
-            "name": self.name,
-            "n": int(self.n),
-            "dim": int(self.dim),
-            "gram": "R_V0",
-        }
-        with open(path.with_suffix(".json"), "w") as fh:
-            json.dump(manifest, fh, indent=1)
-            fh.write("\n")
+        write_matrix(path, self._cols)
+        write_json(path.with_suffix(".json"), {"name": self.name, "n": int(self.n),
+                                               "dim": int(self.dim), "gram": "R_V0"})
 
     @classmethod
     def load(cls, path, gram):
         """Read a basis written by :meth:`save`.  Manifest keys it does not
         read, such as the rank tolerance of older manifests, are ignored."""
         path = Path(path)
-        with open(path.with_suffix(".json")) as fh:
-            manifest = json.load(fh)
+        manifest = read_json(path.with_suffix(".json"))
         basis = cls(gram, manifest["n"], manifest.get("name", ""))
         if basis.n != gram.shape[0]:
             raise GoromError(f"{path} holds vectors of size {basis.n}, not the "
                              f"{gram.shape[0]} of this model; re-run gorom offline")
-        cols = np.asarray(mmread(str(path)), dtype=float)
+        cols = dense(read_matrix(path))
         if cols.shape != (basis.n, manifest["dim"]) or not np.all(np.isfinite(cols)):
             raise GoromError(f"{path} does not hold {basis.n} x {manifest['dim']} finite "
                              "entries as its manifest says; re-run gorom offline")

@@ -362,6 +362,7 @@ def test_criterion_11_effectivity_improves_with_m(gen_mid):
            f"saddle {sd[0]:.1f} >= {sd[2]:.1f} >= {sd[4]:.1f}")
 
 
+@pytest.mark.one_blas_thread
 def test_criterion_12_pipeline_determinism(tmp_path):
     def run(*args):
         assert cli_main([str(a) for a in args]) == 0

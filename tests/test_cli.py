@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import shutil
@@ -5,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from gorom.cli import main
+from gorom.cli import build_parser, main
 
 
 def run(*args):
@@ -178,6 +179,7 @@ def _strip_wall_time(path):
     return [tuple(v for j, v in enumerate(row) if j != idx) for row in rows]
 
 
+@pytest.mark.one_blas_thread
 def test_pipeline_determinism(tmp_path):
     outs = []
     for run_id in ("a", "b"):
@@ -512,12 +514,14 @@ _CONFIGS = {"config-json": "{", "config-max-iter": '{"max_iter": 0}',
 
 @pytest.mark.parametrize("case", ["generate-n", "generate-l", "generate-d",
                                   "config-missing", *_CONFIGS, "xi-file", "spaces",
-                                  "stats-est"])
+                                  "stats-est", "xi-file-empty", "stats-est-empty"])
 def test_bad_input_exits_with_one_line(workspace, tmp_path, capsys, case):
     ws = workspace
     config = tmp_path / "greedy.json"
     if case in _CONFIGS:
         config.write_text(_CONFIGS[case])
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
     online = ["eval", "--bundle", ws / "bundle", "--method", "primal"]
     argv, named = {
         "generate-n": (["generate", "--n", "10"], "n must be at least 16"),
@@ -529,6 +533,10 @@ def test_bad_input_exits_with_one_line(workspace, tmp_path, capsys, case):
                              ws / "truth.csv"], "nope"),
         "stats-est": (["stats", "--est", tmp_path / "nope.csv", "--truth",
                        ws / "truth.csv"], "nope.csv"),
+        "xi-file-empty": (online + ["--spaces", ws / "spaces", "--xi-file", empty],
+                          "empty.csv"),
+        "stats-est-empty": (["stats", "--est", empty, "--truth", ws / "truth.csv"],
+                            "empty.csv"),
     }.get(case, (["offline", "--bundle", ws / "bundle", "--config", config],
                  str(config)))
     capsys.readouterr()
@@ -553,3 +561,100 @@ def test_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", "import sys, gorom.cli; print('scipy.optimize' in sys.modules)"],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+# option -> (type, default, choices, required); "flag" is a store_true switch
+# and ">=k" an integer no smaller than k
+_OUT = {"--out": (None, None, None, True)}
+_POINTS = {"--bundle": (None, None, None, True),
+           "--xi-file": (None, None, None, False),
+           "--sample-count": (">=0", 0, None, False),
+           "--sample-seed": ("int", 0, None, False), **_OUT}
+_SPACES = {"--spaces": (None, None, None, True)}
+_THREADS = {"--threads": (">=1", None, None, False)}
+_CLI_CONTRACT = {
+    "generate": {"--kind": (None, "diffusion", ("diffusion", "advection-diffusion"), False),
+                 "--n": ("int", 900, None, False), "--d": ("int", 6, None, False),
+                 "--l": ("int", 30, None, False), "--seed": ("int", 0, None, False),
+                 **_OUT},
+    "offline": {"--bundle": (None, None, None, True), "--config": (None, None, None, True),
+                "--precond": ("flag", False, None, False), **_THREADS, **_OUT},
+    "truth": {**_POINTS, **_THREADS},
+    "eval": {**_POINTS, **_SPACES, **_THREADS,
+             "--method": (None, None, ("primal", "dual", "primal-dual", "saddle"), True)},
+    "constants": {**_POINTS, **_SPACES,
+                  "--space": (None, "dual", ("dual", "primal"), False)},
+    "estimate": {**_POINTS, **_SPACES, **_THREADS,
+                 "--method": (None, None, ("primal-dual", "saddle"), True),
+                 "--alpha": (None, "auto", ("auto", "min-theta", "none"), False)},
+    "stats": {"--est": (None, None, None, True), "--truth": (None, None, None, True),
+              "--bins": ("int", 50, None, False), **_OUT},
+    "compare": {**_POINTS, **_SPACES, **_THREADS},
+}
+
+
+def _type_name(action):
+    if isinstance(action, argparse._StoreTrueAction):
+        return "flag"
+    if action.type is None:
+        return None
+    if action.type is int:
+        return "int"
+
+    def accepts(v):
+        try:
+            action.type(str(v))
+            return True
+        except argparse.ArgumentTypeError:
+            return False
+    return f">={min(v for v in range(-2, 3) if accepts(v))}"
+
+
+def test_cli_contract_pins_every_option():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_CLI_CONTRACT)
+    for name, p in sub.choices.items():
+        got = {}
+        for action in p._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert len(action.option_strings) == 1, (name, action.option_strings)
+                got[action.option_strings[0]] = (
+                    _type_name(action), action.default,
+                    tuple(action.choices) if action.choices else None, action.required)
+        assert got == _CLI_CONTRACT[name], name
+
+
+@pytest.mark.parametrize("command", ["truth", "eval", "estimate"])
+def test_header_only_xi_file_gives_header_only_table(workspace, tmp_path, command):
+    ws = workspace
+    xi_file = tmp_path / "xi.csv"
+    xi_file.write_text("xi1,xi2\n")
+    extra = {"truth": [], "eval": ["--spaces", ws / "spaces", "--method", "primal"],
+             "estimate": ["--spaces", ws / "spaces", "--method", "saddle"]}[command]
+    assert run(command, "--bundle", ws / "bundle", *extra, "--xi-file", xi_file,
+               "--out", tmp_path / "out.csv") == 0
+    header, rows = read_csv(tmp_path / "out.csv")
+    assert header[:2] == ["xi1", "xi2"] and rows == []
+
+
+@pytest.mark.parametrize("where, name", [("spaces", "manifest.json"),
+                                         ("spaces", "precond.json"),
+                                         ("spaces", "V.json"), ("spaces", "V.mtx"),
+                                         ("spaces", "trace.json"),
+                                         ("bundle", "A_000.mtx"), ("bundle", "R_V0.mtx")])
+def test_unparseable_input_file_exits_with_one_line(workspace, tmp_path, capsys, where,
+                                                    name):
+    ws = workspace
+    for d in ("bundle", "spaces"):
+        shutil.copytree(ws / d, tmp_path / d)
+    (tmp_path / where / name).write_text("not a gorom file\n")
+    command = "compare" if name == "trace.json" else "eval"
+    method = [] if command == "compare" else ["--method", "primal"]
+    capsys.readouterr()
+    assert run(command, "--bundle", tmp_path / "bundle", "--spaces", tmp_path / "spaces",
+               *method, "--xi-file", ws / "truth.csv", "--out", tmp_path / "out.csv") == 1
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0  # single-line diagnostic
+    assert name in err
+    assert not (tmp_path / "out.csv").exists()

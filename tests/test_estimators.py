@@ -284,6 +284,7 @@ def test_preconditioned_saddle_estimate_assembles_the_operator_once(
         assert len(calls) == 1
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("method", ["primal-dual", "saddle"])
 def test_surrogate_estimate_fits_the_weights_once(method, gen_small, gen_spaces,
                                                   monkeypatch):
@@ -312,6 +313,7 @@ def test_weights_are_kept_per_interpolant(gen_small, gen_spaces):
     np.testing.assert_array_equal(blocks.weights(Q), Q.coefficients(xi))
 
 
+@pytest.mark.one_blas_thread
 def test_cached_general_saddle_estimate_assembles_no_operator(gen_small, gen_spaces,
                                                               monkeypatch):
     # the residual at the saddle point applies the operator terms one by one
@@ -327,6 +329,7 @@ def test_cached_general_saddle_estimate_assembles_no_operator(gen_small, gen_spa
     assert calls == []
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("which", ["spd", "general", "general-precond"])
 def test_estimates_of_direct_solutions_match_cached(which, spd_small, gen_small,
                                                     spd_spaces, gen_spaces):

@@ -101,6 +101,7 @@ def test_alternate_doubles_offline_cost(tiny_spd):
     assert a_last.factorizations == 2 * s_last.factorizations
 
 
+@pytest.mark.one_blas_thread
 def test_determinism(tiny_spd):
     cfg = GreedyConfig(max_iter=3, enrichment="full", train_count=15, train_seed=6)
     t1 = run_greedy(tiny_spd, cfg)
@@ -215,6 +216,7 @@ def _carried_case(case, spd_small, gen_small):
     return (spd_small if which == "spd" else gen_small), cfg, per_column
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("case", sorted(_CARRIED))
 def test_carried_cache_blocks_match_fresh(case, spd_small, gen_small, monkeypatch):
     # each iteration's cache grows the groups of the one before; right after

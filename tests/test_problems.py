@@ -124,6 +124,31 @@ def test_output_identity_via_dual(which, spd_small, gen_small):
         assert np.linalg.norm(s_dual - s) <= 1e-9 * max(np.linalg.norm(s), 1e-300)
 
 
+@pytest.mark.parametrize("which", ["spd", "general"])
+def test_truth_solves_assemble_the_operator_once(which, spd_small, gen_small,
+                                                 monkeypatch):
+    # without a given factorization, each solve factors the A(xi) it assembled
+    model = spd_small if which == "spd" else gen_small
+    xi = model.domain.sample(1, np.random.default_rng(6))[0]
+    expected = (truth_solve(model, xi, model.factorize_operator(xi)),
+                dual_truth_solve(model, xi, model.factorize_operator(xi)))
+    calls = []
+    original = FullOrderModel.operator_at
+
+    def counting(self, pt):
+        calls.append(tuple(pt))
+        return original(self, pt)
+
+    monkeypatch.setattr(FullOrderModel, "operator_at", counting)
+    u, s = truth_solve(model, xi)
+    assert len(calls) == 1
+    Q = dual_truth_solve(model, xi)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(u, expected[0][0])
+    np.testing.assert_array_equal(s, expected[0][1])
+    np.testing.assert_array_equal(Q, expected[1])
+
+
 def test_sampling_deterministic_and_in_box(spd_small):
     dom = spd_small.domain
     a = sample_parameters(dom, 50, seed=7)

@@ -106,6 +106,7 @@ def test_dual_only_exact_space_is_exact(spd_small):
     assert np.linalg.norm(est.s_tilde - s) <= 1e-9 * np.linalg.norm(s)
 
 
+@pytest.mark.one_blas_thread
 def test_dual_only_empty_space(spd_small, gen_small):
     # with V, WQ and T empty, every route, residual norm and Schur complement
     # runs its ordinary path on both providers: zero outputs of length l,
@@ -488,6 +489,7 @@ def test_consistency_when_exact_everywhere(spd_small, spd_spaces):
     assert np.linalg.norm(saddle_spd_solve(spd_small, xi, T).s_tilde - s) <= tol
 
 
+@pytest.mark.one_blas_thread
 def test_cancelled_residual_norms_fall_back_to_full_order(spd_small, spd_spaces):
     # at a point whose solution lies in V and in T the residual norms that
     # are expanded over the cached blocks cancel to rounding.  Where they
@@ -517,6 +519,7 @@ def test_cancelled_residual_norms_fall_back_to_full_order(spd_small, spd_spaces)
 # cached blocks one by one, coefficient evaluations and the domain guard
 # ---------------------------------------------------------------------------
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("which", ["spd", "general", "general-precond"])
 def test_cache_blocks_match_direct_blocks(which, spd_small, gen_small,
                                           spd_spaces, gen_spaces):
