@@ -163,6 +163,11 @@ class AffineForm:
 
     Terms may be scipy sparse matrices (operators, output maps) or 1-d
     numpy arrays (right-hand sides).  At least one term is required.
+
+    A form of several sparse terms is assembled on the union of their
+    sparsity patterns, computed on the first assembly: each term's entries
+    are added into that pattern in term order and exact zeros are dropped,
+    which gives the CSR matrix of the term-by-term scipy sum bit for bit.
     """
 
     def __init__(self, terms):
@@ -176,6 +181,9 @@ class AffineForm:
                 raise TypeError("coefficients must be CoefficientFn instances")
             if sp.issparse(term):
                 term = term.tocsr()
+                if not term.has_canonical_format:
+                    term = term.copy()
+                    term.sum_duplicates()
             else:
                 term = np.asarray(term, dtype=float)
                 if term.ndim not in (1, 2):
@@ -196,6 +204,22 @@ class AffineForm:
             self._exponents = np.array([
                 np.zeros(len(rows[0]), dtype=int) if coeff.kind == "constant"
                 else coeff.exponents for coeff, _ in self.terms])
+        self._on_pattern = len(self.terms) > 1 and all(sp.issparse(t) for _, t in self.terms)
+        self._union = None
+
+    def _union_pattern(self):
+        """The CSR pattern (indices, indptr) of the sum of the terms, and the
+        positions of each term's entries in it."""
+        ones = [sp.csr_matrix((np.ones(term.nnz), term.indices, term.indptr), shape=self.shape)
+                for _, term in self.terms]
+        union = sum(ones[1:], ones[0])  # of positive entries: none cancels
+        union.sort_indices()
+
+        def keys(M):  # row-major position of each stored entry
+            return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)) * M.shape[1] + M.indices
+
+        ukeys = keys(union)
+        return union.indices, union.indptr, [np.searchsorted(ukeys, keys(M)) for M in ones]
 
     @property
     def nterms(self):
@@ -210,10 +234,25 @@ class AffineForm:
 
     def __call__(self, xi):
         thetas = self.coefficients_at(xi)
+        if self._on_pattern:
+            return self._on_union(thetas)
         acc = thetas[0] * self.terms[0][1]
         for theta, (_, term) in zip(thetas[1:], (t for t in self.terms[1:])):
             acc = acc + theta * term
         return acc
+
+    def _on_union(self, thetas):
+        if self._union is None:
+            self._union = self._union_pattern()
+        indices, indptr, positions = self._union
+        data = np.zeros(len(indices))
+        for theta, pos, (_, term) in zip(thetas, positions, self.terms):
+            data[pos] += theta * term.data
+        keep = data != 0.0
+        if not keep.all():
+            data, indices = data[keep], indices[keep]
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr].astype(indptr.dtype)
+        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=self.shape)
 
     def __add__(self, other):
         if not isinstance(other, AffineForm):

@@ -25,13 +25,16 @@ Coefficient descriptors are ``{"kind": "constant", "c": 1.0}`` or
 are serialized with full float64 round-trip precision, so store -> load
 reproduces matrix entries bit-exactly.
 
-This module owns the package's file formats: one JSON writer and reader and
-one MatrixMarket writer and reader, which bases, traces and the CLI use too.
-A reader turns a missing or unparseable file into one ``GoromError`` of the
-class its caller names, with the file's path in the message.
+This module owns the package's file formats: one JSON writer and reader, one
+MatrixMarket writer and reader and one writer and reader of numpy array
+files, which bases, traces, stored reduced blocks and the CLI use too.  A
+reader turns a missing or unparseable file, or a JSON document without the
+fields its caller names, into one ``GoromError`` of the class its caller
+names, with the file's path in the message.
 """
 
 import json
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -75,13 +78,45 @@ def _parsing(path, error):
         yield
     except FileNotFoundError:
         raise error(f"missing file {path}") from None
-    except ValueError as exc:
+    except (ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise error(f"malformed {path}: {exc}") from None
 
 
-def read_json(path, error=GoromError):
+def check_fields(path, doc, fields, error=GoromError):
+    """``doc``, a JSON document read from ``path``, when it is an object
+    whose field ``name`` holds a value of type ``fields[name]`` for each
+    name (a missing field reads as None); otherwise one ``error``."""
+    if not isinstance(doc, dict):
+        raise error(f"malformed {path}: expected a JSON object")
+    for name, kind in fields.items():
+        if not isinstance(doc.get(name), kind):
+            raise error(f"malformed {path}: field {name!r} is missing or of another type")
+    return doc
+
+
+def read_json(path, error=GoromError, fields=None):
+    """The JSON document in ``path``; with ``fields``, checked by
+    :func:`check_fields`."""
     with _parsing(path, error), open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    return doc if fields is None else check_fields(path, doc, fields, error)
+
+
+def write_arrays(path, arrays, meta):
+    """The named ``arrays`` and the JSON document ``meta`` in one
+    uncompressed npz file.  Its entries are written in name order and numpy
+    dates each 1980-01-01, so equal input gives identical bytes."""
+    entries = {**arrays, "meta": np.array(json.dumps(meta, sort_keys=True))}
+    np.savez(path, allow_pickle=False, **dict(sorted(entries.items())))
+
+
+def read_array(path, name, error=GoromError):
+    """The entry ``name`` of a file written by :func:`write_arrays`, read
+    alone; the entry "meta" reads as its JSON document.  No file handle
+    stays open."""
+    with _parsing(path, error), np.load(path, allow_pickle=False) as entries:
+        value = entries[name]
+        return json.loads(str(value)) if name == "meta" else value
 
 
 def read_matrix(path, error=GoromError):

@@ -39,14 +39,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bundle import load_bundle, read_json, store_bundle, write_json
+from .bundle import check_fields, load_bundle, read_json, store_bundle, write_json
 from .constants import compute_constants
 from .estimators import effectivity_report, estimate_error
 from .exceptions import GoromError, GreedyAborted
 from .greedy import GreedyConfig, online_cost, run_greedy
 from .preconditioner import InverseInterpolant
 from .problems import ProblemConfig, make_problem, sample_parameters, truth_solve
-from .projectors import ReducedCache, map_points
+from .projectors import BlockStore, ReducedCache, map_points
 from .spaces import Basis
 
 METHODS = ("primal", "dual", "primal-dual", "saddle")
@@ -111,19 +111,34 @@ def _bundle_hash(path):
     return digest.hexdigest()
 
 
-def _write_manifest(outdir, command, config, seeds, bundle=None):
+def _write_manifest(outdir, command, config, seeds, bundle_hash=None):
     write_json(Path(outdir) / "manifest.json", {
         "tool": "gorom",
         "version": __version__,
         "command": command,
         "config": config,
         "seeds": seeds,
-        "bundle_hash": _bundle_hash(bundle) if bundle else None,
+        "bundle_hash": bundle_hash,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     })
 
 
-def save_spaces(result, outdir):
+# the reduced blocks of the greedy's final spaces, and the files they belong to
+_BLOCKS = "blocks.npz"
+_BLOCK_FILES = ("V.mtx", "WQ.mtx", "precond.json")
+
+
+def _ids(path, bundle_hash, names):
+    """The identity of a store: the bundle hash and the sha256 of each file."""
+    return {"bundle": bundle_hash,
+            **{name: hashlib.sha256((path / name).read_bytes()).hexdigest()
+               for name in names}}
+
+
+def save_spaces(result, outdir, bundle_hash):
+    """Write the spaces, trace, interpolant and reduced blocks of a greedy
+    ``result``; the blocks record ``bundle_hash`` and the hashes of the
+    files written next to them."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     result.V.save(outdir / "V.mtx")
@@ -131,6 +146,8 @@ def save_spaces(result, outdir):
     result.trace.save(outdir / "trace.json")
     if result.precond is not None:
         write_json(outdir / "precond.json", result.precond.to_dict())
+    written = _BLOCK_FILES if result.precond is not None else _BLOCK_FILES[:2]
+    result.cache.save(outdir / _BLOCKS, _ids(outdir, bundle_hash, written))
 
 
 def load_spaces(model, path, bundle):
@@ -143,7 +160,7 @@ def load_spaces(model, path, bundle):
     path = Path(path)
     mfile = path / "manifest.json"
     if mfile.is_file():
-        expected = read_json(mfile).get("bundle_hash")
+        expected = read_json(mfile, fields={"bundle_hash": (str, type(None))})["bundle_hash"]
         if expected is not None and expected != _bundle_hash(bundle):
             raise GoromError(f"{path} was built from another bundle than {bundle}, "
                              "or by an older gorom; re-run gorom offline on this bundle")
@@ -154,11 +171,33 @@ def load_spaces(model, path, bundle):
                    if pfile.is_file() else None)
 
 
+def load_store(path, bundle):
+    """The blocks ``gorom offline`` stored in the spaces directory ``path``,
+    or None.  Before the first block is read they are refused unless they
+    were written with this bundle and the very files of these spaces."""
+    path = Path(path)
+    sfile = path / _BLOCKS
+
+    def check(recorded):
+        found = _ids(path, _bundle_hash(bundle),
+                     [name for name in _BLOCK_FILES if (path / name).is_file()])
+        for name in sorted(set(recorded) | set(found)):
+            if recorded.get(name) != found.get(name):
+                where = bundle if name == "bundle" else path / name
+                raise GoromError(f"{sfile} was not written with {where}; "
+                                 "re-run gorom offline")
+
+    return BlockStore(sfile, check) if sfile.is_file() else None
+
+
 def _load_all(args):
-    """The model, V, WQ, interpolant (or None) and points of a command over spaces."""
+    """The model, the cache over the loaded spaces and their stored blocks,
+    and the points of a command over spaces."""
     model = load_bundle(args.bundle)
     V, WQ, precond = load_spaces(model, args.spaces, args.bundle)
-    return model, V, WQ, precond, _read_xi(args, model)
+    cache = ReducedCache(model, V, WQ, precond=precond,
+                         store=load_store(args.spaces, args.bundle))
+    return model, cache, _read_xi(args, model)
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +237,10 @@ def cmd_offline(args):
         if exc.trace is not None:
             exc.trace.save(outdir / "trace.json")
         raise
-    save_spaces(result, outdir)
+    bundle_hash = _bundle_hash(args.bundle)
+    save_spaces(result, outdir, bundle_hash)
     _write_manifest(outdir, "offline", cfg.to_dict(),
-                    {"train": cfg.train_seed, "sketch": cfg.precond_seed},
-                    bundle=args.bundle)
+                    {"train": cfg.train_seed, "sketch": cfg.precond_seed}, bundle_hash)
     last = result.trace.iterations[-1]
     print(f"greedy finished: r={last.r}, k={last.k}, "
           f"{last.factorizations} factorizations, sup_delta={last.sup_delta:.3e}")
@@ -217,8 +256,7 @@ def cmd_truth(args):
 
 
 def cmd_eval(args):
-    model, V, WQ, precond, xis = _load_all(args)
-    cache = ReducedCache(model, V, WQ, precond=precond)
+    model, cache, xis = _load_all(args)
 
     def solve_one(xi):
         t0 = time.perf_counter()
@@ -233,9 +271,9 @@ def cmd_eval(args):
 
 
 def cmd_constants(args):
-    model, V, WQ, _, xis = _load_all(args)
-    test = WQ if args.space == "dual" else V
-    reps = [compute_constants(model, xi, V, test) for xi in xis]
+    model, cache, xis = _load_all(args)
+    test = cache.WQc if args.space == "dual" else cache.Vc
+    reps = [compute_constants(model, xi, cache.Vc, test) for xi in xis]
     _write_points(args, model, xis, ["delta_vw", "delta_l", "alpha"],
                   [[rep.delta_vw, rep.delta_l, rep.alpha] for rep in reps],
                   "constant reports")
@@ -252,8 +290,7 @@ def _estimates(cache, method, alpha, xis, threads):
 
 
 def cmd_estimate(args):
-    model, V, WQ, precond, xis = _load_all(args)
-    cache = ReducedCache(model, V, WQ, precond=precond)
+    model, cache, xis = _load_all(args)
     results = _estimates(cache, args.method, args.alpha, xis, args.threads)
     rows = [[rec.delta, rec.primal_factor, rec.dual_factor,
              "" if rec.alpha is None else rec.alpha, rec.method, int(rec.certified), *s]
@@ -328,12 +365,13 @@ def cmd_stats(args):
 
 
 def cmd_compare(args):
-    model, V, WQ, precond, xis = _load_all(args)
+    model, cache, xis = _load_all(args)
     trace_file = Path(args.spaces) / "trace.json"
-    iterations = read_json(trace_file)["iterations"] if trace_file.is_file() else []
-    nfact = iterations[-1]["factorizations"] if iterations else ""
+    iterations = (read_json(trace_file, fields={"iterations": list})["iterations"]
+                  if trace_file.is_file() else [])
+    nfact = (check_fields(trace_file, iterations[-1], {"factorizations": int})
+             ["factorizations"] if iterations else "")
     truth = map_points(lambda xi: truth_solve(model, xi)[1], xis, args.threads)
-    cache = ReducedCache(model, V, WQ, precond=precond)
     rows = []
     for method in METHODS:
         sup_delta = ""
@@ -345,7 +383,7 @@ def cmd_compare(args):
             ss = map_points(lambda xi: cache.solve(xi, method).s_tilde,
                                xis, args.threads)
         errors = [model.z_norm(s - st) for s, st in zip(ss, truth)]
-        r, k = V.dim, WQ.dim
+        r, k = cache.r, cache.k
         cost = {
             "primal": online_cost("primal-dual", model.symmetry, r, 0),
             "dual": online_cost("primal-dual", model.symmetry, 0, k),

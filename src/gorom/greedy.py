@@ -12,9 +12,10 @@ Each iteration's :class:`ReducedCache` grows the blocks of the previous
 one by the columns the enrichment added, so an iteration's Riesz solves and
 block products scale with what it added, not with the space dimensions.
 The saddle route's T = V + WQ is therefore in enrichment order, the
-previous T followed by the new V and then the new WQ columns, while online
-commands build T from the saved bases as V's columns, then WQ's: the same
-span, with another column order.
+previous T followed by the new V and then the new WQ columns.  After the
+last iteration the cache grows once more, to the final spaces, and the
+result carries it: ``gorom offline`` saves its reduced blocks, T among
+them when the greedy built T, and the online commands read them.
 
 Each iteration records the selected point, the estimate supremum over the
 training set, space dimensions, the cumulative factorization count, and a
@@ -160,10 +161,15 @@ class GreedyTrace:
 
 @dataclass
 class GreedyResult:
+    """The spaces, interpolant and trace of a greedy run, and ``cache``, the
+    reduced blocks its last iteration built, grown to the final spaces
+    without keeping the full-order families they were grown from."""
+
     V: Basis
     WQ: Basis
     precond: InverseInterpolant | None
     trace: GreedyTrace
+    cache: ReducedCache
 
 
 def argmax_delta(deltas):
@@ -270,4 +276,5 @@ def run_greedy(model, cfg, threads=None):
             online_cost=online_cost(cfg.method, model.symmetry, V.dim, WQ.dim),
             delta_at_previous=delta_prev,
         ))
-    return GreedyResult(V=V, WQ=WQ, precond=precond, trace=trace)
+    cache = ReducedCache(model, V, WQ, precond=precond, previous=cache, images=False)
+    return GreedyResult(V=V, WQ=WQ, precond=precond, trace=trace, cache=cache)

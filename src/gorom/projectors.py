@@ -28,7 +28,9 @@ blocks on first read:
   only the term pairs i <= j of its stack.  Each block is built on its first
   use, so a route builds only the blocks it reads, and on spd models a
   transposed block is the direct one.  A cache over spaces that grew from
-  another cache's grows that cache's stacks by the added columns only.
+  another cache's grows that cache's stacks by the added columns only.  A
+  cache saves its reduced-size stacks to one file, and a cache over the
+  same spaces reads each back from it on first use instead of building it.
 
 A point's blocks also keep the factors of their reduced matrices, so each
 matrix is factored once per point whichever route, estimate or constant
@@ -49,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import CheckedLU, SpdFactor, as_columns, dense
-from .exceptions import ReducedSolveError
+from .bundle import check_fields, read_array, write_arrays
+from .exceptions import GoromError, ReducedSolveError
 from .problems import truth_solve
 from .spaces import Basis, union_basis
 
@@ -444,6 +447,18 @@ class _Affine:
         S = self.stack
         return (self.weights(theta) @ S.reshape(len(S), -1)).reshape(S.shape[1:])
 
+    @property
+    def shape(self):
+        return self.stack.shape
+
+    def cols(self, t, lo=0, hi=None):
+        """Columns lo:hi of term t of a stack of matrices."""
+        return self.stack[t][:, lo:hi]
+
+    def blocks(self, t):
+        """Term t as the blocks of columns it is held in."""
+        return (self.stack[t],)
+
 
 class _Gram(_Affine):
     """A symmetric family sum_{i,j} theta_i theta_j F_i^T R_V0^{-1} F_j over
@@ -466,20 +481,45 @@ class _Gram(_Affine):
         return U + U.T
 
 
+class _Appended:
+    """A family of full-order images grown by columns without forming its
+    stack: term t is ``old[t]`` followed by ``new[t]``, the images of the
+    added columns.  It reads as a family through ``shape``, ``cols`` and
+    ``blocks`` only, for growing the blocks of a cache that keeps no
+    full-order family (see :class:`ReducedCache`)."""
+
+    def __init__(self, names, old, new, shape):
+        self.names, self.old, self.new, self.shape = names, old, new, shape
+
+    def cols(self, t, lo=0, hi=None):
+        c0, hi = self.old.shape[-1], self.shape[-1] if hi is None else hi
+        if lo >= c0:
+            return self.new[t][:, lo - c0:hi - c0]
+        if hi <= c0:
+            return self.old[t][:, lo:hi]
+        return np.hstack((self.old[t][:, lo:], self.new[t][:, :hi - c0]))
+
+    def blocks(self, t):
+        return self.old[t], self.new[t]
+
+
 def _fixed(X):
     """A parameter-independent matrix as a family of one term of weight 1."""
     return _Affine(("1",), X[None])
 
 
-def _grown(names, old, shape, image):
+def _grown(c, names, old, shape, image):
     """A family of full-order images, stacked to ``shape`` = (terms, n,
     columns).  ``old`` is the same family over fewer terms or columns (None
     when there is none): each of its terms keeps its columns and gains
     ``image(t, c)``, the images of its columns from c on, and a later term
-    is ``image(t, 0)``."""
-    t0, c0 = (0, 0) if old is None else (len(old.stack), old.stack.shape[-1])
+    is ``image(t, 0)``.  In a cache ``c`` that keeps no full-order family,
+    a family that gained columns only is an :class:`_Appended`."""
+    t0, c0 = (0, 0) if old is None else (old.shape[0], old.shape[-1])
     if (t0, c0) == (shape[0], shape[-1]):
         return old
+    if not c._images and old is not None and t0 == shape[0]:
+        return _Appended(names, old.stack, [image(t, c0) for t in range(t0)], shape)
     out = np.empty(shape)
     for t in range(shape[0]):
         start = c0 if t < t0 else 0
@@ -497,23 +537,22 @@ def _family(c, old, name, X=None, transpose=False):
     terms = [term.T if transpose else term for _, term in form.terms]
     if X is None:
         width = 1 if len(form.shape) == 1 else form.shape[0]
-        return _grown((name,), old, (len(terms), c.model.n, width),
+        return _grown(c, (name,), old, (len(terms), c.model.n, width),
                       lambda t, j: np.atleast_2d(dense(terms[t])).T)
-    return _grown((name,), old, (len(terms), c.model.n, X.shape[1]),
+    return _grown(c, (name,), old, (len(terms), c.model.n, X.shape[1]),
                   lambda t, j: terms[t] @ X[:, j:])
 
 
 def _riesz(c, old, fam):
     """Riesz representers R_V0^{-1} F_k of a family of dual images."""
-    S = fam.stack
-    return _grown(fam.names, old, S.shape, lambda t, j: c.model.riesz_v0(S[t][:, j:]))
+    return _grown(c, fam.names, old, fam.shape, lambda t, j: c.model.riesz_v0(fam.cols(t, j)))
 
 
 def _products(old, A, B, pairs):
-    """The blocks A[i]^T B[j] over the term ``pairs``, stacked.  ``old`` is
-    the group of the first pairs over fewer rows and columns (None when there
-    is none): its blocks keep their entries and gain their new rows and
-    columns, and the later pairs are computed whole."""
+    """The blocks A_i^T B_j of two families over the term ``pairs``,
+    stacked.  ``old`` is the group of the first pairs over fewer rows and
+    columns (None when there is none): its blocks keep their entries and
+    gain their new rows and columns, and the later pairs are computed whole."""
     shape = (len(pairs), A.shape[-1], B.shape[-1])
     old = None if old is None else old.stack
     t0, (a0, b0) = (0, (0, 0)) if old is None else (len(old), old.shape[1:])
@@ -522,33 +561,37 @@ def _products(old, A, B, pairs):
     out = np.empty(shape)
     for t, (i, j) in enumerate(pairs):
         a, b = (a0, b0) if t < t0 else (0, 0)
-        out[t, :, b:] = A[i].T @ B[j][:, b:]
+        Bj, row = B.cols(j, b), 0
+        for X in A.blocks(i):
+            out[t, row:row + X.shape[1], b:] = X.T @ Bj
+            row += X.shape[1]
         if t < t0:
             out[t, :a, :b] = old[t]
-            out[t, a:, :b] = A[i][:, a:].T @ B[j][:, :b]
+            out[t, a:, :b] = A.cols(i, a).T @ B.cols(j, 0, b)
     return out
 
 
 def _pairs(fam_a, fam_b, old=None):
     """Stacked blocks Fa_j^T Fb_k for every pair of terms, k fastest, grown
     from ``old`` (see :func:`_products`)."""
-    pairs = [(i, j) for i in range(len(fam_a.stack)) for j in range(len(fam_b.stack))]
-    return _Affine(fam_a.names + fam_b.names, _products(old, fam_a.stack, fam_b.stack, pairs))
+    pairs = [(i, j) for i in range(fam_a.shape[0]) for j in range(fam_b.shape[0])]
+    return _Affine(fam_a.names + fam_b.names, _products(old, fam_a, fam_b, pairs))
 
 
 def _gram(fam, zfam, old=None):
     """The packed :class:`_Gram` of a family ``fam`` of dual images and the
     family ``zfam`` of their Riesz representers: F_i^T Z_j for i <= j, grown
     from ``old`` (see :func:`_products`)."""
-    Q = len(fam.stack)
+    Q = fam.shape[0]
     pairs = [(i, j) for i in range(Q) for j in range(i, Q)]
-    return _Gram(fam.names[0], _products(old, fam.stack, zfam.stack, pairs), Q)
+    return _Gram(fam.names[0], _products(old, fam, zfam, pairs), Q)
 
 
 def _t_basis(c, old):
     """T = V + WQ in enrichment order: the previous cache's T (``old``),
     extended in place by the columns of V and then of WQ added since, or a
-    new basis of all of them."""
+    new basis of all of them, V's columns first.  A cache over stored
+    blocks reads the T they were built over instead."""
     T = Basis(c.model.gram_v0, c.model.n, name="T") if old is None else old
     r0, k0 = (0, 0) if old is None else c._base
     T.extend(c.Vc[:, r0:])
@@ -559,14 +602,14 @@ def _t_basis(c, old):
 def _test_images(c, old):
     """Y_i = A(xi_i)^{-T} R_V0 V, one term per interpolation point."""
     facts = c.precond.factorizations
-    return _grown(("lam",), old, (c.precond.m, c.model.n, c.r), lambda i, j: facts[i].solve(
+    return _grown(c, ("lam",), old, (c.precond.m, c.model.n, c.r), lambda i, j: facts[i].solve(
         c.model.gram_v0 @ c.Vc[:, j:], transpose=True))
 
 
 # name -> builder(cache, get, old); a builder reads other groups through get
 # and grows ``old``, the group of that name carried over from a previous
-# cache, or builds the group anew when that is None
-_GROUPS = {
+# cache, or builds the group anew when that is None.  The full-order groups:
+_IMAGES = {
     # full-order term images
     "FA_V": lambda c, g, o: _family(c, o, "A", c.Vc),
     "FA_Q": lambda c, g, o: _family(c, o, "A", c.WQc),
@@ -585,6 +628,10 @@ _GROUPS = {
     "zL": lambda c, g, o: _riesz(c, o, g("FL")),
     "zA_T": lambda c, g, o: _riesz(c, o, g("FA_T")),
     "XT": lambda c, g, o: _riesz(c, o, g("FAt_T")),
+}
+
+# the reduced-size groups, which ReducedCache.save writes
+_REDUCED = {
     # primal route: W = V, or W(xi) under an interpolant
     "WAV": lambda c, g, o: _pairs(g("Ys") if c._precond_w else _fixed(c.Vc), g("FA_V"), o),
     "Wb": lambda c, g, o: _pairs(g("Ys") if c._precond_w else _fixed(c.Vc), g("b"), o),
@@ -612,9 +659,58 @@ _GROUPS = {
     "RTb": lambda c, g, o: _pairs(g("FA_T"), g("zb"), o),
 }
 
+_GROUPS = {**_IMAGES, **_REDUCED}
+
 # every operator term of an spd model is symmetric (FullOrderModel checks
 # each), so A_k^T X is A_k X and each transposed group is the direct one
 _SPD_ALIASES = {"FAt_Q": "FA_Q", "FAt_T": "FA_T", "XT": "zA_T", "KT": "RTT"}
+
+# a stored group by its kind, the class the cache holds it in
+_KINDS = {"affine": _Affine, "gram": _Gram, "basis": Basis}
+
+
+class BlockStore:
+    """Blocks written by :meth:`ReducedCache.save` to the npz file ``path``,
+    read one group at a time.
+
+    Its metadata, read on first use, records ``ids``, the identity the
+    blocks were written with, and ``groups``, the ``kind`` and form
+    ``names`` of each group stored.  ``check(ids)``, when given, is called
+    before the first group is read and raises if the blocks do not belong
+    to the caller's spaces.  A :class:`ReducedCache` reads it under its
+    lock.
+    """
+
+    def __init__(self, path, check=None):
+        self.path, self._check, self._meta = path, check, None
+
+    def _metadata(self):
+        if self._meta is None:
+            meta = check_fields(self.path, read_array(self.path, "meta"),
+                                {"ids": dict, "groups": dict})
+            for spec in meta["groups"].values():
+                check_fields(self.path, spec, {"kind": str, "names": list})
+                if spec["kind"] not in _KINDS:
+                    raise GoromError(f"malformed {self.path}: unknown group kind "
+                                     f"{spec['kind']!r}")
+            self._meta = meta
+        return self._meta
+
+    @property
+    def groups(self):
+        return self._metadata()["groups"]
+
+    def read(self, name):
+        """The stack of group ``name``, refused unless finite."""
+        if self._check is not None:
+            self._check(self._metadata()["ids"])
+            self._check = None
+        stack = read_array(self.path, name)
+        if not np.all(np.isfinite(stack)):
+            raise GoromError(f"{self.path} holds non-finite entries in {name}; "
+                             "re-run gorom offline")
+        return stack
+
 
 # blocks read as the transpose of another block at the point
 _TRANSPOSES = {"LQ": "QL", "LXQ": "CQ", "LXT": "CT"}
@@ -679,6 +775,14 @@ class ReducedCache:
     previous : ReducedCache, optional
         A cache whose spaces V and WQ are leading columns of these, over the
         same model and interpolant (which may have gained points since).
+    store : BlockStore, optional
+        Blocks that :meth:`save` wrote from a cache over these spaces and
+        this interpolant.
+    images : bool, optional
+        False for a cache grown from ``previous`` only to be saved: it grows
+        its blocks from the previous full-order families and the images of
+        the added columns, and keeps no such family (one is built anew,
+        whole, if a block needs it later).
 
     Each block group is built on its first use, under a per-cache lock, so a
     route builds only what it reads and pool threads can share one cache.
@@ -689,9 +793,16 @@ class ReducedCache:
     the new rows and columns of each block.  Its T is the previous T with
     the new columns of V and then of WQ, so it spans V + WQ in the order the
     spaces grew.  A cache without ``previous`` grows each group from nothing.
+
+    A cache with a ``store`` reads a group the store holds from it on first
+    use, one group at a time under the lock, and builds the others as
+    above.  When the store holds T, that T, in the enrichment order of the
+    cache that saved it, is the one the groups over T are built over.
+    Without a stored T, T is V's columns followed by WQ's.
     """
 
-    def __init__(self, model, V=None, WQ=None, precond=None, previous=None):
+    def __init__(self, model, V=None, WQ=None, precond=None, previous=None, store=None,
+                 images=True):
         self.model = model
         self.Vc, self.WQc = as_columns(V, model.n), as_columns(WQ, model.n)
         self.precond = precond
@@ -701,6 +812,7 @@ class ReducedCache:
         # W(xi) = P_m(xi)^* R_V0 V, and its saddle route a T(xi) to match
         self._precond_w = not self._spd and precond is not None and precond.m > 0
         self._groups, self._carried, self._base = {}, {}, (0, 0)
+        self._store, self._images = store, images
         self._lock = threading.RLock()
         if previous is not None:
             self._carry(previous)
@@ -721,6 +833,9 @@ class ReducedCache:
         self._base = (r0, k0)
         for name in list(self._carried):
             self._get(name)
+        if not self._images:
+            self._groups = {name: group for name, group in self._groups.items()
+                            if not isinstance(group, _Appended)}
 
     def _get(self, name):
         """The block group ``name``, built on first use."""
@@ -731,9 +846,34 @@ class ReducedCache:
             with self._lock:
                 group = self._groups.get(name)
                 if group is None:
-                    group = _GROUPS[name](self, self._get, self._carried.pop(name, None))
+                    group = (self._read(name)
+                             if self._store is not None and name in self._store.groups
+                             else _GROUPS[name](self, self._get, self._carried.pop(name, None)))
                     self._groups[name] = group
         return group
+
+    def _read(self, name):
+        """The stored group ``name``."""
+        spec, stack = self._store.groups[name], self._store.read(name)
+        kind, names = spec["kind"], spec["names"]
+        if kind == "basis":
+            return Basis.of_columns(self.model.gram_v0, stack, name)
+        if kind == "gram":
+            return _Gram(names[0], stack, getattr(self.model, names[0]).nterms)
+        return _Affine(names, stack)
+
+    def save(self, path, ids):
+        """Write the reduced-size groups this cache built, and T when it
+        built T, to the npz file ``path``, recording ``ids``, the identity
+        of the spaces and model they belong to (see :class:`BlockStore`)."""
+        kinds = {cls: kind for kind, cls in _KINDS.items()}
+        groups = {name: group for name, group in self._groups.items()
+                  if name in _REDUCED or name == "T"}
+        write_arrays(path, {name: group.columns if name == "T" else group.stack
+                            for name, group in groups.items()},
+                     {"ids": ids, "groups": {name: {"kind": kinds[type(group)],
+                                                    "names": list(getattr(group, "names", ()))}
+                                             for name, group in groups.items()}})
 
     def at(self, xi):
         """The reduced blocks at ``xi``, each evaluated on first read; raises

@@ -94,21 +94,28 @@ class Basis:
                                                "dim": int(self.dim), "gram": "R_V0"})
 
     @classmethod
+    def of_columns(cls, gram, cols, name=""):
+        """The basis whose columns are ``cols``, G-orthonormal already, as
+        they are: saved, or built by another basis."""
+        basis = cls(gram, cols.shape[0], name)
+        basis._cols = cols
+        return basis
+
+    @classmethod
     def load(cls, path, gram):
         """Read a basis written by :meth:`save`.  Manifest keys it does not
         read, such as the rank tolerance of older manifests, are ignored."""
         path = Path(path)
-        manifest = read_json(path.with_suffix(".json"))
-        basis = cls(gram, manifest["n"], manifest.get("name", ""))
-        if basis.n != gram.shape[0]:
-            raise GoromError(f"{path} holds vectors of size {basis.n}, not the "
+        manifest = read_json(path.with_suffix(".json"), fields={"n": int, "dim": int})
+        n, dim = manifest["n"], manifest["dim"]
+        if n != gram.shape[0]:
+            raise GoromError(f"{path} holds vectors of size {n}, not the "
                              f"{gram.shape[0]} of this model; re-run gorom offline")
         cols = dense(read_matrix(path))
-        if cols.shape != (basis.n, manifest["dim"]) or not np.all(np.isfinite(cols)):
-            raise GoromError(f"{path} does not hold {basis.n} x {manifest['dim']} finite "
+        if cols.shape != (n, dim) or not np.all(np.isfinite(cols)):
+            raise GoromError(f"{path} does not hold {n} x {dim} finite "
                              "entries as its manifest says; re-run gorom offline")
-        basis._cols = cols
-        return basis
+        return cls.of_columns(gram, cols, manifest.get("name", ""))
 
     def __repr__(self):
         return f"Basis(name={self.name!r}, n={self.n}, dim={self.dim})"

@@ -393,8 +393,8 @@ def test_criterion_12_pipeline_determinism(tmp_path):
         outs.append(root)
     a, b = outs
     identical = ["bundle/model.json", "spaces/trace.json", "spaces/V.mtx",
-                 "spaces/WQ.mtx", "truth.csv", "delta.csv", "report.json",
-                 "compare.csv"]
+                 "spaces/WQ.mtx", "spaces/blocks.npz", "truth.csv", "delta.csv",
+                 "report.json", "compare.csv"]
     for rel in identical:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
     # est.csv documents a measured wall-time column; byte-identical modulo it

@@ -112,3 +112,46 @@ def test_coefficients_at_equals_each_coefficient_bitwise(kinds):
     for xi in rng.uniform(0.1, 10.0, size=(200, d)):
         want = np.array([coeff(xi) for coeff, _ in form.terms])
         assert form.coefficients_at(xi).tobytes() == want.tobytes()
+
+
+def _term_by_term(form, xi):
+    thetas = form.coefficients_at(xi)
+    acc = thetas[0] * form.terms[0][1]
+    for theta, (_, term) in zip(thetas[1:], form.terms[1:]):
+        acc = acc + theta * term
+    return acc
+
+
+def _bitwise_equal(a, b):
+    return (a.indptr.dtype == b.indptr.dtype and a.indices.dtype == b.indices.dtype
+            and np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            and a.data.tobytes() == b.data.tobytes())
+
+
+def test_union_pattern_assembly_is_the_term_by_term_sum_bit_for_bit():
+    # sparse terms with overlapping, differing patterns, and a pair of terms
+    # that cancel exactly at xi = (1, 1): scipy drops the zeros of that sum
+    rng = np.random.default_rng(9)
+    d, terms = 2, []
+    for k in range(4):
+        M = sp.random(30, 30, density=0.15, random_state=rng, format="csr")
+        terms.append((CoefficientFn.monomial(rng.uniform(0.5, 2.0),
+                                             rng.integers(0, 3, size=d)), M))
+    C = sp.random(30, 30, density=0.1, random_state=rng, format="csr")
+    terms += [(CoefficientFn.component(0, d), C), (CoefficientFn.component(1, d), -C)]
+    form = AffineForm(terms)
+    points = np.vstack([rng.uniform(0.1, 3.0, size=(50, d)), np.ones((1, d))])
+    for xi in points:
+        assert _bitwise_equal(form(xi), _term_by_term(form, xi)), xi
+    # the cancelling pair alone sums to an exact 0: no entry is stored
+    pair = AffineForm(terms[-2:])
+    out = pair(np.ones(d))
+    assert out.nnz == 0 and _bitwise_equal(out, _term_by_term(pair, np.ones(d)))
+
+
+def test_generated_operators_assemble_bit_for_bit():
+    from gorom.problems import ProblemConfig, make_problem, sample_parameters
+    for kind in ("diffusion-spd", "advection-diffusion"):
+        model = make_problem(ProblemConfig(n=100, d=3, l=2, seed=4, kind=kind))
+        for xi in sample_parameters(model.domain, 20, 5):
+            assert _bitwise_equal(model.A(xi), _term_by_term(model.A, xi)), kind

@@ -658,3 +658,134 @@ def test_unparseable_input_file_exits_with_one_line(workspace, tmp_path, capsys,
     assert err.strip().count("\n") == 0  # single-line diagnostic
     assert name in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "V.json", "trace.json", "blocks.npz"])
+def test_wrong_structure_input_file_exits_with_one_line(workspace, tmp_path, capsys, name):
+    # files that parse but lack the fields the commands read
+    from gorom.bundle import write_arrays
+    ws = workspace
+    spaces = tmp_path / "spaces"
+    shutil.copytree(ws / "spaces", spaces)
+    if name == "manifest.json":
+        (spaces / name).write_text("[]\n")
+    elif name == "V.json":
+        (spaces / name).write_text(json.dumps({"name": "V", "dim": 3}))
+    elif name == "trace.json":
+        (spaces / name).write_text(json.dumps({"config": {}}))
+    else:
+        write_arrays(spaces / name, {}, {"groups": {}})
+    command = ["compare"] if name == "trace.json" else ["eval", "--method", "primal"]
+    capsys.readouterr()
+    assert run(*command, "--bundle", ws / "bundle", "--spaces", spaces,
+               "--xi-file", ws / "truth.csv", "--out", tmp_path / "out.csv") == 1
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0  # single-line diagnostic
+    assert name in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def _offline(bundle, out, *flags, **cfg):
+    config = out.parent / f"{out.name}.json"
+    config.write_text(json.dumps({"max_iter": 3, "train_count": 20, "train_seed": 3,
+                                  "precond_sketch": 30, **cfg}))
+    assert run("offline", "--bundle", bundle, "--config", config, *flags,
+               "--out", out) == 0
+    return out
+
+
+@pytest.mark.parametrize("edit", ["copied-blocks", "edited-basis"])
+def test_foreign_stored_blocks_exit_with_one_line(workspace, tmp_path, capsys, edit):
+    # blocks from other spaces of the same bundle, or a basis edited after
+    # the blocks were written: the blocks no longer belong to these spaces
+    ws = workspace
+    spaces = tmp_path / "spaces"
+    shutil.copytree(ws / "spaces", spaces)
+    if edit == "copied-blocks":
+        other = _offline(ws / "bundle", tmp_path / "other", max_iter=2)
+        shutil.copy(other / "blocks.npz", spaces / "blocks.npz")
+        named = "blocks.npz"
+    else:
+        text = (spaces / "V.mtx").read_text().splitlines()
+        text[-1] = repr(float(text[-1]) * (1 + 1e-15) or 1e-300)
+        (spaces / "V.mtx").write_text("\n".join(text) + "\n")
+        named = "V.mtx"
+    capsys.readouterr()
+    assert run("estimate", "--bundle", ws / "bundle", "--spaces", spaces,
+               "--method", "primal-dual", "--xi-file", ws / "truth.csv",
+               "--out", tmp_path / "out.csv") == 1
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0  # single-line diagnostic
+    assert named in err and "re-run gorom offline" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def _outputs(path):
+    header, rows = read_csv(path)
+    cols = [j for j, h in enumerate(header) if h[:1] == "s" and h[1:].isdigit()]
+    return np.array([[float(row[j]) for j in cols] for row in rows])
+
+
+def test_spaces_without_stored_blocks_evaluate_every_route(workspace, tmp_path):
+    # spaces written before blocks.npz existed build every block, as then
+    ws = workspace
+    old = tmp_path / "old"
+    shutil.copytree(ws / "spaces", old)
+    (old / "blocks.npz").unlink()
+    for method in ("primal", "dual", "primal-dual", "saddle"):
+        for spaces in (ws / "spaces", old):
+            assert run("eval", "--bundle", ws / "bundle", "--spaces", spaces,
+                       "--method", method, "--xi-file", ws / "truth.csv",
+                       "--out", tmp_path / f"{spaces.name}-{method}.csv") == 0
+        stored, built = (_outputs(tmp_path / f"{s}-{method}.csv") for s in ("spaces", "old"))
+        assert np.all(np.isfinite(built)) and built.shape == stored.shape == (12, 5)
+        assert np.linalg.norm(stored - built) <= 1e-12 * np.linalg.norm(built), method
+    assert run("estimate", "--bundle", ws / "bundle", "--spaces", old, "--method",
+               "saddle", "--xi-file", ws / "truth.csv", "--out", tmp_path / "d.csv") == 0
+
+
+@pytest.mark.parametrize("method", ["primal-dual", "saddle"])
+def test_stored_spd_blocks_leave_online_commands_no_full_order_solve(
+        workspace, tmp_path, monkeypatch, method):
+    # with the blocks of a greedy on the route it ran, eval and estimate on
+    # that route read every block from the store: no Riesz solve and no
+    # solve with any factorization, once the bundle is loaded
+    from gorom import FullOrderModel, cli
+    from gorom.model import Factorization
+    ws = workspace
+    spaces = ws / "spaces" if method == "primal-dual" else \
+        _offline(ws / "bundle", tmp_path / "spaces", method="saddle")
+    counts = {"riesz": 0, "solve": 0, "loaded": False}
+    riesz, solve, load = FullOrderModel.riesz_v0, Factorization.solve, cli.load_bundle
+
+    def counting_riesz(self, X):
+        counts["riesz"] += counts["loaded"]
+        return riesz(self, X)
+
+    def counting_solve(self, B, transpose=False):
+        counts["solve"] += counts["loaded"]
+        return solve(self, B, transpose)
+
+    def loading(path):
+        model = load(path)
+        counts["loaded"] = True
+        return model
+
+    monkeypatch.setattr(FullOrderModel, "riesz_v0", counting_riesz)
+    monkeypatch.setattr(Factorization, "solve", counting_solve)
+    monkeypatch.setattr(cli, "load_bundle", loading)
+    for command in ("eval", "estimate"):
+        counts["loaded"] = False
+        assert run(command, "--bundle", ws / "bundle", "--spaces", spaces,
+                   "--method", method, "--xi-file", ws / "truth.csv",
+                   "--out", tmp_path / f"{command}.csv") == 0
+        assert counts["loaded"] and counts["riesz"] == counts["solve"] == 0, command
+
+
+@pytest.mark.one_blas_thread
+def test_offline_threads_write_the_same_blocks(workspace, tmp_path):
+    ws = workspace
+    files = [_offline(ws / "bundle", tmp_path / f"spaces-{threads}", "--threads", threads,
+                      method="saddle", enrichment="partial") / "blocks.npz"
+             for threads in (1, 2)]
+    assert files[0].read_bytes() == files[1].read_bytes()

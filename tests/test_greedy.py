@@ -219,11 +219,16 @@ def _carried_case(case, spd_small, gen_small):
 @pytest.mark.one_blas_thread
 @pytest.mark.parametrize("case", sorted(_CARRIED))
 def test_carried_cache_blocks_match_fresh(case, spd_small, gen_small, monkeypatch):
-    # each iteration's cache grows the groups of the one before; right after
-    # it is made, every such group equals the one a new cache builds over the
-    # same spaces and interpolant.  T is in enrichment order there, so T is
+    # each iteration's cache, and the one the run grows to its final spaces,
+    # grows the groups of the one before; right after it is made, every such
+    # group equals the one a new cache builds over the same spaces and
+    # interpolant.  T is in enrichment order there, so T is
     # compared by T T^T (its R_V0 projector times R_V0^{-1}), and the new
-    # cache builds the groups over T from the carried T's columns
+    # cache builds the groups over T from the carried T's columns.  The
+    # final spaces are not compared so: on spd-saddle the last enrichment
+    # keeps 5 of 8 dual columns, and near such dependent columns the span
+    # of V + WQ depends on the order of Gram-Schmidt by about 1e-7, which is
+    # why the stored blocks keep the carried T
     model, cfg, _ = _carried_case(case, spd_small, gen_small)
     xis = model.domain.sample(3, np.random.default_rng(40))
     checked = []
@@ -238,7 +243,8 @@ def test_carried_cache_blocks_match_fresh(case, spd_small, gen_small, monkeypatc
         if T is not None:
             got, want = T.columns @ T.columns.T, fresh._get("T").columns
             want = want @ want.T
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            final = len(checked) == 4
+            assert final or np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             fresh._groups["T"] = T
         for xi in xis:
             carried_at, fresh_at = cache.at(xi), fresh.at(xi)
@@ -251,15 +257,17 @@ def test_carried_cache_blocks_match_fresh(case, spd_small, gen_small, monkeypatc
     monkeypatch.setattr(greedy, "ReducedCache", make)
     res = run_greedy(model, cfg)
     assert len(res.trace.iterations) == 5
-    assert len(checked) == 4 and all(checked)
+    assert len(checked) == 5 and all(checked)
+    assert res.cache.r == res.V.dim and res.cache.k == res.WQ.dim
 
 
 @pytest.mark.parametrize("case", sorted(_CARRIED))
 def test_carried_cache_riesz_work_per_iteration(case, spd_small, gen_small, monkeypatch):
     # an iteration Riesz-solves the images of the columns it added, once per
     # term of each family its sweep reads, and extends the T it carried: the
-    # same basis object, whose earlier columns are left as they were.  Only
-    # block solves count: a 1-D right-hand side is one point's residual
+    # same basis object, whose earlier columns are left as they were.  So does
+    # the final growth to the spaces of the last enrichment, the sixth cache.
+    # Only block solves count: a 1-D right-hand side is one point's residual
     model, cfg, (per_v, per_q, per_t) = _carried_case(case, spd_small, gen_small)
     columns, dims, bases = [], [], []
     riesz = FullOrderModel.riesz_v0
@@ -281,9 +289,9 @@ def test_carried_cache_riesz_work_per_iteration(case, spd_small, gen_small, monk
     monkeypatch.setattr(FullOrderModel, "riesz_v0", counting_riesz)
     monkeypatch.setattr(greedy, "ReducedCache", make)
     run_greedy(model, cfg)
-    assert len(columns) == 5
+    assert len(columns) == 6
     q = model.A.nterms
-    for i in range(1, 5):
+    for i in range(1, 6):
         added = dims[i] - dims[i - 1]
         assert added.min() >= 0 and added[:2].sum() > 0
         assert columns[i] == q * (per_v * added[0] + per_q * added[1] + per_t * added[2]), i

@@ -706,3 +706,38 @@ def test_cache_refuses_points_outside_the_domain(which, spd_small, gen_small,
                 cache.solve(xi, method)
         with pytest.raises(DomainError):
             cache.primal_residual_norm(xi, np.ones(cache.r))
+
+
+@pytest.mark.parametrize("case", ["spd-primal-dual", "spd-saddle", "general-precond"])
+def test_stored_blocks_match_rebuilt_cache(case, spd_small, gen_small, tmp_path):
+    # the blocks a greedy's final cache saves give every route's output of a
+    # cache that builds them anew, and the certified bounds still bound the
+    # error wherever it is above the rounding of s (1e-14 of |s|, the floor
+    # of gorom stats)
+    from gorom.estimators import estimate_error
+    from gorom.greedy import GreedyConfig, run_greedy
+    from gorom.projectors import BlockStore
+    model, options = {
+        "spd-primal-dual": (spd_small, dict(method="primal-dual")),
+        "spd-saddle": (spd_small, dict(method="saddle", enrichment="partial")),
+        "general-precond": (gen_small, dict(method="primal-dual", precondition=True,
+                                            precond_sketch=30)),
+    }[case]
+    res = run_greedy(model, GreedyConfig(max_iter=4, train_count=10, train_seed=3,
+                                         **options))
+    res.cache.save(tmp_path / "blocks.npz", {})
+    stored = ReducedCache(model, res.V, res.WQ, precond=res.precond,
+                          store=BlockStore(tmp_path / "blocks.npz"))
+    rebuilt = ReducedCache(model, res.V, res.WQ, precond=res.precond)
+    for xi in model.domain.sample(6, np.random.default_rng(17)):
+        _, s = truth_solve(model, xi)
+        for method in ("primal", "dual", "primal-dual", "saddle"):
+            got, want = stored.solve(xi, method), rebuilt.solve(xi, method)
+            assert np.linalg.norm(got.s_tilde - want.s_tilde) \
+                <= 1e-12 * np.linalg.norm(want.s_tilde), method
+            if method in ("primal-dual", "saddle") and model.symmetry == "spd":
+                rec, err = estimate_error(model, got), model.z_norm(s - got.s_tilde)
+                assert rec.certified
+                assert rec.delta >= err or err <= 1e-14 * np.linalg.norm(s), method
+    # the solves read their blocks from the store
+    assert {"WAV", "QAQ", "KQ"} & set(stored._store.groups) & set(stored._groups)
