@@ -150,18 +150,18 @@ def save_spaces(result, outdir, bundle_hash):
     result.cache.save(outdir / _BLOCKS, _ids(outdir, bundle_hash, written))
 
 
-def load_spaces(model, path, bundle):
+def load_spaces(model, path, bundle, bundle_hash):
     """Load (V, WQ, precond-or-None) written by ``gorom offline``.
 
-    Spaces whose ``manifest.json`` names another hash than that of the
-    ``bundle`` directory are refused, and so are bases of another size than
-    the model's; spaces without a manifest load.
+    Spaces whose ``manifest.json`` names another hash than ``bundle_hash``,
+    that of the ``bundle`` directory, are refused, and so are bases of
+    another size than the model's; spaces without a manifest load.
     """
     path = Path(path)
     mfile = path / "manifest.json"
     if mfile.is_file():
         expected = read_json(mfile, fields={"bundle_hash": (str, type(None))})["bundle_hash"]
-        if expected is not None and expected != _bundle_hash(bundle):
+        if expected is not None and expected != bundle_hash:
             raise GoromError(f"{path} was built from another bundle than {bundle}, "
                              "or by an older gorom; re-run gorom offline on this bundle")
     V = Basis.load(path / "V.mtx", model.gram_v0)
@@ -171,15 +171,16 @@ def load_spaces(model, path, bundle):
                    if pfile.is_file() else None)
 
 
-def load_store(path, bundle):
+def load_store(path, bundle, bundle_hash):
     """The blocks ``gorom offline`` stored in the spaces directory ``path``,
     or None.  Before the first block is read they are refused unless they
-    were written with this bundle and the very files of these spaces."""
+    were written with this bundle, of hash ``bundle_hash``, and the very
+    files of these spaces."""
     path = Path(path)
     sfile = path / _BLOCKS
 
     def check(recorded):
-        found = _ids(path, _bundle_hash(bundle),
+        found = _ids(path, bundle_hash,
                      [name for name in _BLOCK_FILES if (path / name).is_file()])
         for name in sorted(set(recorded) | set(found)):
             if recorded.get(name) != found.get(name):
@@ -193,10 +194,10 @@ def load_store(path, bundle):
 def _load_all(args):
     """The model, the cache over the loaded spaces and their stored blocks,
     and the points of a command over spaces."""
-    model = load_bundle(args.bundle)
-    V, WQ, precond = load_spaces(model, args.spaces, args.bundle)
+    model, bundle_hash = load_bundle(args.bundle), _bundle_hash(args.bundle)
+    V, WQ, precond = load_spaces(model, args.spaces, args.bundle, bundle_hash)
     cache = ReducedCache(model, V, WQ, precond=precond,
-                         store=load_store(args.spaces, args.bundle))
+                         store=load_store(args.spaces, args.bundle, bundle_hash))
     return model, cache, _read_xi(args, model)
 
 

@@ -8,14 +8,15 @@ dimensions costs about twice the factorizations).  Dual enrichment is
 either full (all columns of the dual snapshot) or partial (a single
 vector along the worst output direction).
 
-Each iteration's :class:`ReducedCache` grows the blocks of the previous
-one by the columns the enrichment added, so an iteration's Riesz solves and
+Each iteration's :class:`ReducedCache` grows the blocks the previous one
+read by the columns the enrichment added, so an iteration's Riesz solves and
 block products scale with what it added, not with the space dimensions.
 The saddle route's T = V + WQ is therefore in enrichment order, the
 previous T followed by the new V and then the new WQ columns.  After the
 last iteration the cache grows once more, to the final spaces, and the
-result carries it: ``gorom offline`` saves its reduced blocks, T among
-them when the greedy built T, and the online commands read them.
+result carries it: ``gorom offline`` saves the reduced blocks the last
+iteration read, T among them when it read T, and the online commands read
+them.
 
 Each iteration records the selected point, the estimate supremum over the
 training set, space dimensions, the cumulative factorization count, and a
@@ -162,8 +163,7 @@ class GreedyTrace:
 @dataclass
 class GreedyResult:
     """The spaces, interpolant and trace of a greedy run, and ``cache``, the
-    reduced blocks its last iteration built, grown to the final spaces
-    without keeping the full-order families they were grown from."""
+    blocks its last iteration read, grown to the final spaces."""
 
     V: Basis
     WQ: Basis
@@ -234,26 +234,28 @@ def run_greedy(model, cfg, threads=None):
 
             do_primal = cfg.schedule == "simultaneous" or i % 2 == 1
             do_dual = cfg.schedule == "simultaneous" or i % 2 == 0
+            # snapshots first: the factor is freed before the bases and the cache grow
+            u = fact.solve(model.rhs_at(xi_star)) if do_primal else None
+            if do_dual:
+                Lt = dense(model.output_at(xi_star)).T
+                if cfg.enrichment == "partial":
+                    Lt = Lt @ select_output_direction(model, xi_star, cache, cfg.method)
+                Q = fact.solve(Lt, transpose=True)
+            del fact
             acc_p = rej_p = acc_d = rej_d = 0
             kinds = []
             if do_primal:
-                u = fact.solve(model.rhs_at(xi_star))
                 ok = V.append(u)
                 acc_p, rej_p = int(ok), int(not ok)
                 kinds.append("primal")
-            if do_dual:
-                Lt = dense(model.output_at(xi_star)).T
-                if cfg.enrichment == "full":
-                    Q = fact.solve(Lt, transpose=True)
-                    acc_d = WQ.extend(Q)
-                    rej_d = model.l - acc_d
-                    kinds.append("dual-full")
-                else:
-                    zp = select_output_direction(model, xi_star, cache, cfg.method)
-                    y = fact.solve(Lt @ zp, transpose=True)
-                    ok = WQ.append(y)
-                    acc_d, rej_d = int(ok), int(not ok)
-                    kinds.append("dual-partial")
+            if do_dual and cfg.enrichment == "full":
+                acc_d = WQ.extend(Q)
+                rej_d = model.l - acc_d
+                kinds.append("dual-full")
+            elif do_dual:
+                ok = WQ.append(Q)
+                acc_d, rej_d = int(ok), int(not ok)
+                kinds.append("dual-partial")
         except GoromError as exc:
             trace.aborted = f"iteration {i}: {exc}"
             raise GreedyAborted(str(exc), trace=trace) from exc
@@ -276,5 +278,5 @@ def run_greedy(model, cfg, threads=None):
             online_cost=online_cost(cfg.method, model.symmetry, V.dim, WQ.dim),
             delta_at_previous=delta_prev,
         ))
-    cache = ReducedCache(model, V, WQ, precond=precond, previous=cache, images=False)
+    cache = ReducedCache(model, V, WQ, precond=precond, previous=cache)
     return GreedyResult(V=V, WQ=WQ, precond=precond, trace=trace, cache=cache)

@@ -28,8 +28,9 @@ blocks on first read:
   only the term pairs i <= j of its stack.  Each block is built on its first
   use, so a route builds only the blocks it reads, and on spd models a
   transposed block is the direct one.  A cache over spaces that grew from
-  another cache's grows that cache's stacks by the added columns only.  A
-  cache saves its reduced-size stacks to one file, and a cache over the
+  another cache's grows the groups that cache read by the added columns
+  only: a full-order family gains a panel of columns and keeps its others.
+  A cache saves its reduced-size stacks to one file, and a cache over the
   same spaces reads each back from it on first use instead of building it.
 
 A point's blocks also keep the factors of their reduced matrices, so each
@@ -421,19 +422,30 @@ def build_test_space(model, V, precond, xi):
 # ---------------------------------------------------------------------------
 
 class _Affine:
-    """An affine family sum_t w_t(xi) S_t over a stack of terms S.
+    """An affine family sum_t w_t(xi) S_t of terms S_t held in panels.
 
-    ``stack`` is one ndarray of shape (n_terms, *block): a reduced block or
-    a full-order image per term.  Its terms run over the product of the
-    forms in ``names`` (the last name varies fastest), and the weights w are
-    the outer product of the coefficient vectors those names select at a
-    point; the name "1" is a fixed matrix of weight 1.  The sum is one
-    matrix-vector product over the flattened stack.
+    ``panels`` are (t0, c0, P), P of shape (terms, *block): the terms t0,
+    t0 + 1, ... over the last-axis columns c0, c0 + 1, ...; together they
+    tile every term.  A reduced block group is one panel, and a full-order
+    family grows by appending panels (see :func:`_grown`).  The terms run
+    over the product of the forms in ``names`` (the last name varies
+    fastest), and the weights w are the outer product of the coefficient
+    vectors those names select at a point; the name "1" is a fixed matrix of
+    weight 1.  The sum is one matrix-vector product per panel.
     """
 
-    def __init__(self, names, stack):
-        self.names, self.stack = tuple(names), np.asarray(stack, dtype=float)
+    def __init__(self, names, *panels):
+        self.names, self.panels = tuple(names), panels
         self._weights = [name for name in self.names if name != "1"]
+        P = panels[0][2]
+        self.shape = (max(t0 + len(P) for t0, _, P in panels), *P.shape[1:-1],
+                      max(c0 + P.shape[-1] for _, c0, P in panels))
+
+    @property
+    def stack(self):
+        """The terms as one array, of a family held in one panel."""
+        (_, _, P), = self.panels
+        return P
 
     def weights(self, theta):
         """The weight of each term at one point."""
@@ -443,21 +455,27 @@ class _Affine:
         return w
 
     def at(self, theta):
-        """The sum at one point, whose coefficient vectors are ``theta[name]``."""
-        S = self.stack
-        return (self.weights(theta) @ S.reshape(len(S), -1)).reshape(S.shape[1:])
+        """The sum at one point, whose coefficient vectors are ``theta[name]``:
+        the panels of the first terms are assigned and the later ones added."""
+        w = self.weights(theta)
+        sums = [(t0, c0, (w[t0:t0 + len(P)] @ P.reshape(len(P), -1)).reshape(P.shape[1:]))
+                for t0, c0, P in self.panels]
+        if len(sums) == 1:
+            return sums[0][2]
+        out = np.empty(self.shape[1:])
+        for t0, c0, S in sums:
+            cols = out[..., c0:c0 + S.shape[-1]]
+            cols[...] = cols + S if t0 else S
+        return out
 
-    @property
-    def shape(self):
-        return self.stack.shape
-
-    def cols(self, t, lo=0, hi=None):
-        """Columns lo:hi of term t of a stack of matrices."""
-        return self.stack[t][:, lo:hi]
-
-    def blocks(self, t):
-        """Term t as the blocks of columns it is held in."""
-        return (self.stack[t],)
+    def parts(self, t, lo=0, hi=None):
+        """Columns lo:hi of term t as (first column, block) pairs, one per
+        panel they meet."""
+        hi = self.shape[-1] if hi is None else hi
+        for t0, c0, P in self.panels:
+            a, b = max(lo, c0), min(hi, c0 + P.shape[-1])
+            if t0 <= t < t0 + len(P) and a < b:
+                yield a, P[t - t0][..., a - c0:b - c0]
 
 
 class _Gram(_Affine):
@@ -468,7 +486,7 @@ class _Gram(_Affine):
     U + U^T for U = sum_{i<=j} c_ij S_ij, exactly symmetric."""
 
     def __init__(self, name, stack, Q):
-        super().__init__((name,), stack)
+        super().__init__((name,), (0, 0, stack))
         self._i, self._j = np.triu_indices(Q)
         self._scale = np.where(self._i == self._j, 0.5, 1.0)
 
@@ -481,53 +499,31 @@ class _Gram(_Affine):
         return U + U.T
 
 
-class _Appended:
-    """A family of full-order images grown by columns without forming its
-    stack: term t is ``old[t]`` followed by ``new[t]``, the images of the
-    added columns.  It reads as a family through ``shape``, ``cols`` and
-    ``blocks`` only, for growing the blocks of a cache that keeps no
-    full-order family (see :class:`ReducedCache`)."""
-
-    def __init__(self, names, old, new, shape):
-        self.names, self.old, self.new, self.shape = names, old, new, shape
-
-    def cols(self, t, lo=0, hi=None):
-        c0, hi = self.old.shape[-1], self.shape[-1] if hi is None else hi
-        if lo >= c0:
-            return self.new[t][:, lo - c0:hi - c0]
-        if hi <= c0:
-            return self.old[t][:, lo:hi]
-        return np.hstack((self.old[t][:, lo:], self.new[t][:, :hi - c0]))
-
-    def blocks(self, t):
-        return self.old[t], self.new[t]
-
-
 def _fixed(X):
     """A parameter-independent matrix as a family of one term of weight 1."""
-    return _Affine(("1",), X[None])
+    return _Affine(("1",), (0, 0, X[None]))
 
 
-def _grown(c, names, old, shape, image):
-    """A family of full-order images, stacked to ``shape`` = (terms, n,
-    columns).  ``old`` is the same family over fewer terms or columns (None
-    when there is none): each of its terms keeps its columns and gains
-    ``image(t, c)``, the images of its columns from c on, and a later term
-    is ``image(t, 0)``.  In a cache ``c`` that keeps no full-order family,
-    a family that gained columns only is an :class:`_Appended`."""
+def _grown(names, old, shape, image):
+    """A family of full-order images of ``shape`` = (terms, n, columns),
+    grown from ``old``, the same family over fewer terms or columns (None
+    when there is none).  It keeps the panels of ``old`` and appends one of
+    ``image(t, c)``, the images of the columns from c on of term t, for the
+    added columns of the terms of ``old``, and one for the added terms."""
     t0, c0 = (0, 0) if old is None else (old.shape[0], old.shape[-1])
-    if (t0, c0) == (shape[0], shape[-1]):
-        return old
-    if not c._images and old is not None and t0 == shape[0]:
-        return _Appended(names, old.stack, [image(t, c0) for t in range(t0)], shape)
-    out = np.empty(shape)
-    for t in range(shape[0]):
-        start = c0 if t < t0 else 0
-        if start:
-            out[t, :, :start] = old.stack[t]
-        if start < shape[-1]:
-            out[t, :, start:] = image(t, start)
-    return _Affine(names, out)
+
+    def panel(first, lo, count):
+        P = np.empty((count, shape[1], shape[-1] - lo))
+        for t in range(count if P.shape[-1] else 0):
+            P[t] = image(first + t, lo)
+        return first, lo, P
+
+    panels = () if old is None else old.panels
+    if t0 and shape[-1] > c0:
+        panels += (panel(0, c0, t0),)
+    if shape[0] > t0:
+        panels += (panel(t0, 0, shape[0] - t0),)
+    return _Affine(names, *panels)
 
 
 def _family(c, old, name, X=None, transpose=False):
@@ -537,22 +533,24 @@ def _family(c, old, name, X=None, transpose=False):
     terms = [term.T if transpose else term for _, term in form.terms]
     if X is None:
         width = 1 if len(form.shape) == 1 else form.shape[0]
-        return _grown(c, (name,), old, (len(terms), c.model.n, width),
+        return _grown((name,), old, (len(terms), c.model.n, width),
                       lambda t, j: np.atleast_2d(dense(terms[t])).T)
-    return _grown(c, (name,), old, (len(terms), c.model.n, X.shape[1]),
+    return _grown((name,), old, (len(terms), c.model.n, X.shape[1]),
                   lambda t, j: terms[t] @ X[:, j:])
 
 
 def _riesz(c, old, fam):
     """Riesz representers R_V0^{-1} F_k of a family of dual images."""
-    return _grown(c, fam.names, old, fam.shape, lambda t, j: c.model.riesz_v0(fam.cols(t, j)))
+    return _grown(fam.names, old, fam.shape, lambda t, j: c.model.riesz_v0(
+        np.concatenate([X for _, X in fam.parts(t, j)], axis=-1)))
 
 
 def _products(old, A, B, pairs):
     """The blocks A_i^T B_j of two families over the term ``pairs``,
-    stacked.  ``old`` is the group of the first pairs over fewer rows and
-    columns (None when there is none): its blocks keep their entries and
-    gain their new rows and columns, and the later pairs are computed whole."""
+    stacked, reading each family panel by panel.  ``old`` is the group of
+    the first pairs over fewer rows and columns (None when there is none):
+    its blocks keep their entries and gain their new rows and columns, and
+    the later pairs are computed whole."""
     shape = (len(pairs), A.shape[-1], B.shape[-1])
     old = None if old is None else old.stack
     t0, (a0, b0) = (0, (0, 0)) if old is None else (len(old), old.shape[1:])
@@ -561,13 +559,14 @@ def _products(old, A, B, pairs):
     out = np.empty(shape)
     for t, (i, j) in enumerate(pairs):
         a, b = (a0, b0) if t < t0 else (0, 0)
-        Bj, row = B.cols(j, b), 0
-        for X in A.blocks(i):
-            out[t, row:row + X.shape[1], b:] = X.T @ Bj
-            row += X.shape[1]
         if t < t0:
             out[t, :a, :b] = old[t]
-            out[t, a:, :b] = A.cols(i, a).T @ B.cols(j, 0, b)
+        # the new columns of every row, then the new rows of the old columns
+        for rows, cols in (((i, 0), (j, b)), ((i, a), (j, 0, b))):
+            Bj = list(B.parts(*cols))
+            for r, X in A.parts(*rows):
+                for c, Y in Bj:
+                    out[t, r:r + X.shape[-1], c:c + Y.shape[-1]] = X.T @ Y
     return out
 
 
@@ -575,7 +574,7 @@ def _pairs(fam_a, fam_b, old=None):
     """Stacked blocks Fa_j^T Fb_k for every pair of terms, k fastest, grown
     from ``old`` (see :func:`_products`)."""
     pairs = [(i, j) for i in range(fam_a.shape[0]) for j in range(fam_b.shape[0])]
-    return _Affine(fam_a.names + fam_b.names, _products(old, fam_a, fam_b, pairs))
+    return _Affine(fam_a.names + fam_b.names, (0, 0, _products(old, fam_a, fam_b, pairs)))
 
 
 def _gram(fam, zfam, old=None):
@@ -602,7 +601,7 @@ def _t_basis(c, old):
 def _test_images(c, old):
     """Y_i = A(xi_i)^{-T} R_V0 V, one term per interpolation point."""
     facts = c.precond.factorizations
-    return _grown(c, ("lam",), old, (c.precond.m, c.model.n, c.r), lambda i, j: facts[i].solve(
+    return _grown(("lam",), old, (c.precond.m, c.model.n, c.r), lambda i, j: facts[i].solve(
         c.model.gram_v0 @ c.Vc[:, j:], transpose=True))
 
 
@@ -778,21 +777,18 @@ class ReducedCache:
     store : BlockStore, optional
         Blocks that :meth:`save` wrote from a cache over these spaces and
         this interpolant.
-    images : bool, optional
-        False for a cache grown from ``previous`` only to be saved: it grows
-        its blocks from the previous full-order families and the images of
-        the added columns, and keeps no such family (one is built anew,
-        whole, if a block needs it later).
 
     Each block group is built on its first use, under a per-cache lock, so a
     route builds only what it reads and pool threads can share one cache.
-    A cache built from ``previous`` takes over every group that cache built,
-    leaving it none, and grows each one here, on the calling thread, by the
-    slices that involve the columns and interpolation points added since:
-    the term images and their Riesz representers of the new columns only,
-    the new rows and columns of each block.  Its T is the previous T with
-    the new columns of V and then of WQ, so it spans V + WQ in the order the
-    spaces grew.  A cache without ``previous`` grows each group from nothing.
+    A cache built from ``previous`` takes over the groups that cache handed
+    out once constructed, and the groups their builders read, leaving it
+    none, and grows them here, on the calling thread, by the slices that
+    involve the columns and interpolation points added since: a panel of
+    term images and their Riesz representers for the new columns only, the
+    new rows and columns of each block; it drops the other groups.  Its T is
+    the previous T with the new columns of V and then of WQ, so it spans
+    V + WQ in the order the spaces grew.  A cache without ``previous`` grows
+    each group from nothing.
 
     A cache with a ``store`` reads a group the store holds from it on first
     use, one group at a time under the lock, and builds the others as
@@ -801,8 +797,7 @@ class ReducedCache:
     Without a stored T, T is V's columns followed by WQ's.
     """
 
-    def __init__(self, model, V=None, WQ=None, precond=None, previous=None, store=None,
-                 images=True):
+    def __init__(self, model, V=None, WQ=None, precond=None, previous=None, store=None):
         self.model = model
         self.Vc, self.WQc = as_columns(V, model.n), as_columns(WQ, model.n)
         self.precond = precond
@@ -811,14 +806,14 @@ class ReducedCache:
         # a general model with interpolation points gets the test space
         # W(xi) = P_m(xi)^* R_V0 V, and its saddle route a T(xi) to match
         self._precond_w = not self._spd and precond is not None and precond.m > 0
-        self._groups, self._carried, self._base = {}, {}, (0, 0)
-        self._store, self._images = store, images
+        self._groups, self._carried, self._used, self._base = {}, {}, {}, (0, 0)
+        self._store = store
         self._lock = threading.RLock()
         if previous is not None:
             self._carry(previous)
 
     def _carry(self, previous):
-        """Take over the groups of ``previous`` and grow each to these spaces."""
+        """Take over the groups of ``previous`` and grow those it handed out."""
         r0, k0 = previous.r, previous.k
         if (previous.model is not self.model or previous.precond is not self.precond
                 or not np.array_equal(previous.Vc, self.Vc[:, :r0])
@@ -826,21 +821,21 @@ class ReducedCache:
             raise ValueError("the spaces of this cache do not extend those of previous")
         with previous._lock:
             self._carried, previous._groups = previous._groups, {}
+            used = list(previous._used)
         if self._precond_w and not previous._precond_w:
             # the test space was V and is W(xi) now: its blocks start anew
             for name in ("WAV", "Wb"):
                 self._carried.pop(name, None)
         self._base = (r0, k0)
-        for name in list(self._carried):
+        for name in used:
             self._get(name)
-        if not self._images:
-            self._groups = {name: group for name, group in self._groups.items()
-                            if not isinstance(group, _Appended)}
+        self._carried, self._used = {}, {}
 
     def _get(self, name):
         """The block group ``name``, built on first use."""
         if self._spd:
             name = _SPD_ALIASES.get(name, name)
+        self._used[name] = None
         group = self._groups.get(name)
         if group is None:
             with self._lock:
@@ -860,7 +855,7 @@ class ReducedCache:
             return Basis.of_columns(self.model.gram_v0, stack, name)
         if kind == "gram":
             return _Gram(names[0], stack, getattr(self.model, names[0]).nterms)
-        return _Affine(names, stack)
+        return _Affine(names, (0, 0, stack))
 
     def save(self, path, ids):
         """Write the reduced-size groups this cache built, and T when it

@@ -391,7 +391,8 @@ def test_spd_saddle_estimate_solves_each_term_image_of_T_once(
     from gorom import FullOrderModel
     ws = workspace
     model = gorom.load_bundle(ws / "bundle")
-    V, WQ, _ = gorom.cli.load_spaces(model, ws / "spaces", ws / "bundle")
+    V, WQ, _ = gorom.cli.load_spaces(model, ws / "spaces", ws / "bundle",
+                                     gorom.cli._bundle_hash(ws / "bundle"))
     p = gorom.ReducedCache(model, V, WQ).p
     columns = []
     original = FullOrderModel.riesz_v0
@@ -742,6 +743,24 @@ def test_spaces_without_stored_blocks_evaluate_every_route(workspace, tmp_path):
         assert np.linalg.norm(stored - built) <= 1e-12 * np.linalg.norm(built), method
     assert run("estimate", "--bundle", ws / "bundle", "--spaces", old, "--method",
                "saddle", "--xi-file", ws / "truth.csv", "--out", tmp_path / "d.csv") == 0
+
+
+def test_eval_on_stored_spaces_hashes_the_bundle_once(workspace, tmp_path, monkeypatch):
+    # the spaces' manifest and the stored blocks are checked against one hash
+    from gorom import cli
+    hashed = []
+    original = cli._bundle_hash
+
+    def counting(path):
+        hashed.append(path)
+        return original(path)
+
+    monkeypatch.setattr(cli, "_bundle_hash", counting)
+    ws = workspace
+    assert run("eval", "--bundle", ws / "bundle", "--spaces", ws / "spaces",
+               "--method", "primal-dual", "--xi-file", ws / "truth.csv",
+               "--out", tmp_path / "est.csv") == 0
+    assert len(hashed) == 1
 
 
 @pytest.mark.parametrize("method", ["primal-dual", "saddle"])

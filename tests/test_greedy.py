@@ -220,7 +220,7 @@ def _carried_case(case, spd_small, gen_small):
 @pytest.mark.parametrize("case", sorted(_CARRIED))
 def test_carried_cache_blocks_match_fresh(case, spd_small, gen_small, monkeypatch):
     # each iteration's cache, and the one the run grows to its final spaces,
-    # grows the groups of the one before; right after it is made, every such
+    # grows the groups the one before read; right after it is made, every such
     # group equals the one a new cache builds over the same spaces and
     # interpolant.  T is in enrichment order there, so T is
     # compared by T T^T (its R_V0 projector times R_V0^{-1}), and the new
@@ -301,3 +301,26 @@ def test_carried_cache_riesz_work_per_iteration(case, spd_small, gen_small, monk
         for (T0, cols0), (T1, cols1) in zip(bases[1:], bases[2:]):
             assert T1 is T0 and cols1.shape[1] > cols0.shape[1]
             np.testing.assert_array_equal(cols1[:, :cols0.shape[1]], cols0)
+
+
+def test_greedy_carries_and_stores_only_the_groups_read(gen_small, tmp_path, monkeypatch):
+    # a preconditioned saddle greedy reads the groups over the fixed T only
+    # in its first iteration, before the interpolant has a point; from then
+    # on it solves over T(xi), so the caches that follow stop carrying T's
+    # full-order families and the final blocks hold no group over T
+    from gorom.projectors import BlockStore
+    held = []
+
+    class Recording(ReducedCache):
+        def _carry(self, previous):
+            held.append(set(previous._groups))
+            super()._carry(previous)
+
+    monkeypatch.setattr(greedy, "ReducedCache", Recording)
+    res = run_greedy(gen_small, GreedyConfig(max_iter=5, method="saddle", precondition=True))
+    assert len(held) == 5 and {"FAt_T", "XT"} <= held[0]
+    for groups in held[2:] + [set(res.cache._groups)]:
+        assert not groups & {"FAt_T", "XT"}
+    res.cache.save(tmp_path / "blocks.npz", {})
+    stored = set(BlockStore(tmp_path / "blocks.npz").groups)
+    assert not stored & {"T", "Tb", "TAT", "LT", "TAV", "KT", "CT", "RTT", "RTb"}

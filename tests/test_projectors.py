@@ -741,3 +741,49 @@ def test_stored_blocks_match_rebuilt_cache(case, spd_small, gen_small, tmp_path)
                 assert rec.delta >= err or err <= 1e-14 * np.linalg.norm(s), method
     # the solves read their blocks from the store
     assert {"WAV", "QAQ", "KQ"} & set(stored._store.groups) & set(stored._groups)
+
+
+@pytest.mark.parametrize("which", ["spd", "general-precond"])
+def test_growth_appends_panels_and_copies_none(which, spd_small, gen_small, gen_spaces):
+    # a cache grown by a column of V (and, under an interpolant, by a point)
+    # keeps the very panel arrays of each full-order family it carries and
+    # appends new ones, so growing by a column allocates less than the
+    # largest family holds
+    import tracemalloc
+
+    from gorom import ProblemConfig, make_diffusion_problem
+    from gorom.estimators import estimate_error
+    from gorom.projectors import _IMAGES
+    from tests.conftest import snapshot_spaces
+    if which == "spd":
+        # large enough in n that a family outweighs the reduced blocks
+        model = make_diffusion_problem(ProblemConfig(n=400, d=3, l=8, seed=1,
+                                                     kind="diffusion-spd"))
+        (V, WQ), P = snapshot_spaces(model, 4, 2, seed=101), None
+    else:
+        model, V, WQ, P, _ = model_cache(which, spd_small, gen_small, None, gen_spaces)
+    xi = model.domain.sample(1, np.random.default_rng(8))[0]
+    previous = ReducedCache(model, V.columns[:, :-1], WQ, precond=P)
+    for method in ("primal-dual", "saddle"):
+        estimate_error(model, previous.solve(xi, method), precond=P)
+    families = {name: [panel for _, _, panel in group.panels]
+                for name, group in previous._groups.items() if name in _IMAGES and name != "T"}
+    if P is not None:
+        P.add_point(model.domain.sample(1, np.random.default_rng(9))[0])
+    tracemalloc.start()
+    try:
+        cache = ReducedCache(model, V, WQ, precond=P, previous=previous)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "FA_V" in families and (P is None or "Ys" in families)
+    for name, panels in families.items():
+        grown = [panel for _, _, panel in cache._groups[name].panels]
+        assert all(a is b for a, b in zip(grown, panels)), name
+    assert len(cache._groups["FA_V"].panels) == len(families["FA_V"]) + 1
+    if P is not None:
+        # Ys gains a panel of the new column over the old points, and one of
+        # the new point over every column
+        assert len(cache._groups["Ys"].panels) == len(families["Ys"]) + 2
+    else:
+        assert peak < max(sum(panel.nbytes for panel in panels) for panels in families.values())
