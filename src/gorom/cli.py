@@ -31,6 +31,7 @@ the refusal of an input file that does not parse, live in :mod:`gorom.bundle`.
 import argparse
 import csv
 import hashlib
+import json
 import sys
 import time
 from datetime import datetime, timezone
@@ -123,22 +124,30 @@ def _write_manifest(outdir, command, config, seeds, bundle_hash=None):
     })
 
 
-# the reduced blocks of the greedy's final spaces, and the files they belong to
+# the reduced blocks of the greedy's final spaces
 _BLOCKS = "blocks.npz"
-_BLOCK_FILES = ("V.mtx", "WQ.mtx", "precond.json")
 
 
-def _ids(path, bundle_hash, names):
-    """The identity of a store: the bundle hash and the sha256 of each file."""
-    return {"bundle": bundle_hash,
-            **{name: hashlib.sha256((path / name).read_bytes()).hexdigest()
-               for name in names}}
+def _ids(bundle_hash, V, WQ, precond):
+    """The identity of the blocks of spaces V, WQ and precond (or None): the
+    bundle hash and a sha256 of the float64 columns of each basis, with
+    their shape, and of the interpolant's record, keyed by their files."""
+    ids = {"bundle": bundle_hash}
+    for name, basis in (("V.mtx", V), ("WQ.mtx", WQ)):
+        cols = np.ascontiguousarray(basis.columns)
+        digest = hashlib.sha256(str(cols.shape).encode())
+        digest.update(cols)  # the array's own buffer: no copy of the columns
+        ids[name] = digest.hexdigest()
+    if precond is not None:
+        record = json.dumps(precond.to_dict(), sort_keys=True)
+        ids["precond.json"] = hashlib.sha256(record.encode()).hexdigest()
+    return ids
 
 
 def save_spaces(result, outdir, bundle_hash):
     """Write the spaces, trace, interpolant and reduced blocks of a greedy
-    ``result``; the blocks record ``bundle_hash`` and the hashes of the
-    files written next to them."""
+    ``result``; the blocks record the identity of ``result``'s spaces and
+    of the bundle, of hash ``bundle_hash``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     result.V.save(outdir / "V.mtx")
@@ -146,16 +155,18 @@ def save_spaces(result, outdir, bundle_hash):
     result.trace.save(outdir / "trace.json")
     if result.precond is not None:
         write_json(outdir / "precond.json", result.precond.to_dict())
-    written = _BLOCK_FILES if result.precond is not None else _BLOCK_FILES[:2]
-    result.cache.save(outdir / _BLOCKS, _ids(outdir, bundle_hash, written))
+    result.cache.save(outdir / _BLOCKS,
+                      _ids(bundle_hash, result.V, result.WQ, result.precond))
 
 
 def load_spaces(model, path, bundle, bundle_hash):
-    """Load (V, WQ, precond-or-None) written by ``gorom offline``.
+    """Load (V, WQ, precond or None, store or None) written by ``gorom
+    offline``: the store reads the blocks stored with the spaces.
 
     Spaces whose ``manifest.json`` names another hash than ``bundle_hash``,
     that of the ``bundle`` directory, are refused, and so are bases of
-    another size than the model's; spaces without a manifest load.
+    another size than the model's, and stored blocks written with other
+    spaces or another bundle; spaces without a manifest load.
     """
     path = Path(path)
     mfile = path / "manifest.json"
@@ -166,38 +177,25 @@ def load_spaces(model, path, bundle, bundle_hash):
                              "or by an older gorom; re-run gorom offline on this bundle")
     V = Basis.load(path / "V.mtx", model.gram_v0)
     WQ = Basis.load(path / "WQ.mtx", model.gram_v0)
-    pfile = path / "precond.json"
-    return V, WQ, (InverseInterpolant.from_dict(model, read_json(pfile))
-                   if pfile.is_file() else None)
-
-
-def load_store(path, bundle, bundle_hash):
-    """The blocks ``gorom offline`` stored in the spaces directory ``path``,
-    or None.  Before the first block is read they are refused unless they
-    were written with this bundle, of hash ``bundle_hash``, and the very
-    files of these spaces."""
-    path = Path(path)
-    sfile = path / _BLOCKS
-
-    def check(recorded):
-        found = _ids(path, bundle_hash,
-                     [name for name in _BLOCK_FILES if (path / name).is_file()])
-        for name in sorted(set(recorded) | set(found)):
-            if recorded.get(name) != found.get(name):
-                where = bundle if name == "bundle" else path / name
-                raise GoromError(f"{sfile} was not written with {where}; "
-                                 "re-run gorom offline")
-
-    return BlockStore(sfile, check) if sfile.is_file() else None
+    pfile, sfile = path / "precond.json", path / _BLOCKS
+    precond = (InverseInterpolant.from_dict(model, read_json(pfile, fields={}), pfile)
+               if pfile.is_file() else None)
+    if not sfile.is_file():
+        return V, WQ, precond, None
+    store, found = BlockStore(sfile), _ids(bundle_hash, V, WQ, precond)
+    for name in sorted(set(store.ids) | set(found)):
+        if store.ids.get(name) != found.get(name):
+            where = bundle if name == "bundle" else path / name
+            raise GoromError(f"{sfile} was not written with {where}; re-run gorom offline")
+    return V, WQ, precond, store
 
 
 def _load_all(args):
     """The model, the cache over the loaded spaces and their stored blocks,
     and the points of a command over spaces."""
     model, bundle_hash = load_bundle(args.bundle), _bundle_hash(args.bundle)
-    V, WQ, precond = load_spaces(model, args.spaces, args.bundle, bundle_hash)
-    cache = ReducedCache(model, V, WQ, precond=precond,
-                         store=load_store(args.spaces, args.bundle, bundle_hash))
+    V, WQ, precond, store = load_spaces(model, args.spaces, args.bundle, bundle_hash)
+    cache = ReducedCache(model, V, WQ, precond=precond, store=store)
     return model, cache, _read_xi(args, model)
 
 

@@ -216,25 +216,34 @@ class InverseInterpolant:
         }
 
     @classmethod
-    def from_dict(cls, model, d):
+    def from_dict(cls, model, d, where="interpolant record"):
         """Rebuild from :meth:`to_dict` output without any factorization or
         sketch solve.
 
         The fit reads the stored tensors; the stored points are factorized
-        again on the first read of ``factorizations``.  Raises GoromError on
-        a record that lacks a field, has shapes that do not fit its points
-        and the model's operator terms, or holds non-finite numbers.
+        again on the first read of ``factorizations``.  Raises GoromError,
+        naming ``where``, on a record that lacks a field, whose sketch size,
+        seed or positivity is not a positive integer, a non-negative integer
+        and a boolean, has shapes that do not fit its points and the model's
+        operator terms, or holds non-finite numbers.
         """
         missing = [key for key in ("sketch_size", "seed", "positivity", "points",
                                    "gram", "h") if key not in d]
         if missing:
-            raise GoromError(f"interpolant record lacks {', '.join(missing)} "
+            raise GoromError(f"{where} lacks {', '.join(missing)} "
                              "(older format); re-run gorom offline")
-        m, q = len(d["points"]), len(model.A.terms)
-        points = _checked_array(d, "points", (m, model.d))
-        gram = _checked_array(d, "gram", (m, m, q, q))
-        h = _checked_array(d, "h", (m, q))
-        P = cls(model, d["sketch_size"], d["seed"], d["positivity"])
+        s, seed, positivity = d["sketch_size"], d["seed"], d["positivity"]
+        if not (type(s) is int and s >= 1 and type(seed) is int and seed >= 0
+                and type(positivity) is bool):
+            raise GoromError(f"{where}: sketch_size must be a positive integer, seed a "
+                             "non-negative integer and positivity a boolean; "
+                             "re-run gorom offline")
+        # points that are no list have no count; their shape check refuses them
+        m, q = len(d["points"]) if isinstance(d["points"], list) else 0, len(model.A.terms)
+        points = _checked_array(d, "points", (m, model.d), where)
+        gram = _checked_array(d, "gram", (m, m, q, q), where)
+        h = _checked_array(d, "h", (m, q), where)
+        P = cls(model, s, seed, positivity)
         P.points = list(points)
         P.gram, P.h = gram, h
         P._factorizations = None
@@ -242,7 +251,7 @@ class InverseInterpolant:
         return P
 
 
-def _checked_array(d, key, shape):
+def _checked_array(d, key, shape, where):
     try:
         a = np.array(d[key], dtype=float)
     except (TypeError, ValueError):
@@ -250,9 +259,9 @@ def _checked_array(d, key, shape):
     if a is not None and a.size == 0 and 0 in shape:
         a = a.reshape(shape)
     if a is None or a.shape != shape:
-        raise GoromError(f"interpolant record: {key} does not have shape {shape}; "
+        raise GoromError(f"{where}: {key} does not have shape {shape}; "
                          "re-run gorom offline")
     if not np.all(np.isfinite(a)):
-        raise GoromError(f"interpolant record: {key} holds non-finite entries; "
+        raise GoromError(f"{where}: {key} holds non-finite entries; "
                          "re-run gorom offline")
     return a

@@ -668,42 +668,31 @@ _SPD_ALIASES = {"FAt_Q": "FA_Q", "FAt_T": "FA_T", "XT": "zA_T", "KT": "RTT"}
 _KINDS = {"affine": _Affine, "gram": _Gram, "basis": Basis}
 
 
+def _known(kind, names):
+    """Whether a stored group is of a known kind over forms of the model: an
+    affine group over fixed, operator, right-hand side, output and
+    interpolation terms, a gram group over the terms of one form."""
+    return (kind == "basis" or kind == "gram" and names in (["A"], ["b"], ["L"])
+            or kind == "affine" and all(name in ("1", "A", "b", "L", "lam") for name in names))
+
+
 class BlockStore:
     """Blocks written by :meth:`ReducedCache.save` to the npz file ``path``,
-    read one group at a time.
+    read one group at a time.  Its metadata, read and checked here, records
+    ``ids``, the identity the blocks were written with, and ``groups``, the
+    ``kind`` and form ``names`` of each group."""
 
-    Its metadata, read on first use, records ``ids``, the identity the
-    blocks were written with, and ``groups``, the ``kind`` and form
-    ``names`` of each group stored.  ``check(ids)``, when given, is called
-    before the first group is read and raises if the blocks do not belong
-    to the caller's spaces.  A :class:`ReducedCache` reads it under its
-    lock.
-    """
-
-    def __init__(self, path, check=None):
-        self.path, self._check, self._meta = path, check, None
-
-    def _metadata(self):
-        if self._meta is None:
-            meta = check_fields(self.path, read_array(self.path, "meta"),
-                                {"ids": dict, "groups": dict})
-            for spec in meta["groups"].values():
-                check_fields(self.path, spec, {"kind": str, "names": list})
-                if spec["kind"] not in _KINDS:
-                    raise GoromError(f"malformed {self.path}: unknown group kind "
-                                     f"{spec['kind']!r}")
-            self._meta = meta
-        return self._meta
-
-    @property
-    def groups(self):
-        return self._metadata()["groups"]
+    def __init__(self, path):
+        meta = check_fields(path, read_array(path, "meta"), {"ids": dict, "groups": dict})
+        for name, spec in meta["groups"].items():
+            check_fields(path, spec, {"kind": str, "names": list})
+            if not _known(spec["kind"], spec["names"]):
+                raise GoromError(f"malformed {path}: group {name} is of an unknown kind "
+                                 "or over unknown forms")
+        self.path, self.ids, self.groups = path, meta["ids"], meta["groups"]
 
     def read(self, name):
         """The stack of group ``name``, refused unless finite."""
-        if self._check is not None:
-            self._check(self._metadata()["ids"])
-            self._check = None
         stack = read_array(self.path, name)
         if not np.all(np.isfinite(stack)):
             raise GoromError(f"{self.path} holds non-finite entries in {name}; "
@@ -776,7 +765,8 @@ class ReducedCache:
         same model and interpolant (which may have gained points since).
     store : BlockStore, optional
         Blocks that :meth:`save` wrote from a cache over these spaces and
-        this interpolant.
+        this interpolant; the caller checks that they are (see
+        :func:`gorom.cli.load_spaces`).
 
     Each block group is built on its first use, under a per-cache lock, so a
     route builds only what it reads and pool threads can share one cache.

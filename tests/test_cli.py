@@ -391,8 +391,8 @@ def test_spd_saddle_estimate_solves_each_term_image_of_T_once(
     from gorom import FullOrderModel
     ws = workspace
     model = gorom.load_bundle(ws / "bundle")
-    V, WQ, _ = gorom.cli.load_spaces(model, ws / "spaces", ws / "bundle",
-                                     gorom.cli._bundle_hash(ws / "bundle"))
+    V, WQ, _, _ = gorom.cli.load_spaces(model, ws / "spaces", ws / "bundle",
+                                        gorom.cli._bundle_hash(ws / "bundle"))
     p = gorom.ReducedCache(model, V, WQ).p
     columns = []
     original = FullOrderModel.riesz_v0
@@ -661,9 +661,29 @@ def test_unparseable_input_file_exits_with_one_line(workspace, tmp_path, capsys,
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("name", ["manifest.json", "V.json", "trace.json", "blocks.npz"])
-def test_wrong_structure_input_file_exits_with_one_line(workspace, tmp_path, capsys, name):
-    # files that parse but lack the fields the commands read
+def _rewrite_meta(path, edit):
+    """Rewrite the metadata of a blocks file by ``edit(meta)``, keeping its stacks."""
+    from gorom.bundle import read_array, write_arrays
+    meta = read_array(path, "meta")
+    edit(meta)
+    with np.load(path) as entries:
+        stacks = {name: entries[name] for name in entries.files if name != "meta"}
+    write_arrays(path, stacks, meta)
+
+
+# an interpolant record field, and a value of the wrong type or range
+_BAD_RECORD = {"sketch_size": "abc", "seed": -1, "positivity": "yes"}
+
+
+@pytest.mark.parametrize("name, field", [
+    *[pytest.param(name, None, id=name)
+      for name in ("manifest.json", "V.json", "trace.json", "blocks.npz")],
+    pytest.param("blocks.npz", "names", id="blocks.npz-names"),
+    *[pytest.param("precond.json", field, id=f"precond.json-{field}") for field in _BAD_RECORD]])
+def test_wrong_structure_input_file_exits_with_one_line(workspace, tmp_path, capsys, name,
+                                                        field):
+    # files that parse but lack the fields the commands read, or hold values
+    # of another type or range
     from gorom.bundle import write_arrays
     ws = workspace
     spaces = tmp_path / "spaces"
@@ -674,6 +694,15 @@ def test_wrong_structure_input_file_exits_with_one_line(workspace, tmp_path, cap
         (spaces / name).write_text(json.dumps({"name": "V", "dim": 3}))
     elif name == "trace.json":
         (spaces / name).write_text(json.dumps({"config": {}}))
+    elif name == "precond.json":
+        # no stored blocks, whose identity check would refuse the record first
+        (spaces / "blocks.npz").unlink()
+        (spaces / name).write_text(json.dumps({
+            "sketch_size": 30, "seed": 1, "positivity": True, "points": [], "gram": [],
+            "h": [], field: _BAD_RECORD[field]}))
+    elif field == "names":
+        _rewrite_meta(spaces / name,
+                      lambda meta: meta["groups"]["WAV"].update(names=["1", "zzz"]))
     else:
         write_arrays(spaces / name, {}, {"groups": {}})
     command = ["compare"] if name == "trace.json" else ["eval", "--method", "primal"]
@@ -695,21 +724,42 @@ def _offline(bundle, out, *flags, **cfg):
     return out
 
 
-@pytest.mark.parametrize("edit", ["copied-blocks", "edited-basis"])
+@pytest.mark.parametrize("edit", ["copied-blocks", "edited-basis", "edited-dual-basis",
+                                  "edited-interpolant", "file-hash-ids"])
 def test_foreign_stored_blocks_exit_with_one_line(workspace, tmp_path, capsys, edit):
-    # blocks from other spaces of the same bundle, or a basis edited after
-    # the blocks were written: the blocks no longer belong to these spaces
+    # blocks from other spaces of the same bundle, a basis or interpolant
+    # edited after the blocks were written, or blocks that record the sha256
+    # of each file, as gorom wrote them before it hashed the loaded arrays:
+    # the blocks no longer belong to these spaces
+    import hashlib
+
+    from gorom import cli
     ws = workspace
     spaces = tmp_path / "spaces"
-    shutil.copytree(ws / "spaces", spaces)
+    if edit == "edited-interpolant":
+        _offline(ws / "bundle", spaces, "--precond")
+    else:
+        shutil.copytree(ws / "spaces", spaces)
     if edit == "copied-blocks":
         other = _offline(ws / "bundle", tmp_path / "other", max_iter=2)
         shutil.copy(other / "blocks.npz", spaces / "blocks.npz")
         named = "blocks.npz"
-    else:
-        text = (spaces / "V.mtx").read_text().splitlines()
+    elif edit in ("edited-basis", "edited-dual-basis"):
+        named = "V.mtx" if edit == "edited-basis" else "WQ.mtx"
+        text = (spaces / named).read_text().splitlines()
         text[-1] = repr(float(text[-1]) * (1 + 1e-15) or 1e-300)
-        (spaces / "V.mtx").write_text("\n".join(text) + "\n")
+        (spaces / named).write_text("\n".join(text) + "\n")
+    elif edit == "edited-interpolant":
+        # one interpolation point moved by one ulp
+        named = "precond.json"
+        record = json.loads((spaces / named).read_text())
+        record["points"][0][0] = float(np.nextafter(record["points"][0][0], np.inf))
+        (spaces / named).write_text(json.dumps(record))
+    else:
+        ids = {"bundle": cli._bundle_hash(ws / "bundle"),
+               **{name: hashlib.sha256((spaces / name).read_bytes()).hexdigest()
+                  for name in ("V.mtx", "WQ.mtx")}}
+        _rewrite_meta(spaces / "blocks.npz", lambda meta: meta.update(ids=ids))
         named = "V.mtx"
     capsys.readouterr()
     assert run("estimate", "--bundle", ws / "bundle", "--spaces", spaces,
@@ -719,6 +769,27 @@ def test_foreign_stored_blocks_exit_with_one_line(workspace, tmp_path, capsys, e
     assert err.strip().count("\n") == 0  # single-line diagnostic
     assert named in err and "re-run gorom offline" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_offline_and_stored_estimate_read_no_spaces_file_back(workspace, tmp_path,
+                                                              monkeypatch):
+    # stored blocks are identified by the arrays in memory: offline hashes
+    # what it wrote, and an online command what it loaded, without reading
+    # a basis or the interpolant's record again
+    import pathlib
+    original = pathlib.Path.read_bytes
+
+    def refusing(self):
+        assert self.name not in ("V.mtx", "WQ.mtx", "precond.json"), f"read {self} back"
+        return original(self)
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", refusing)
+    ws = workspace
+    spaces = _offline(ws / "bundle", tmp_path / "spaces", "--precond", method="primal-dual")
+    assert (spaces / "blocks.npz").is_file() and (spaces / "precond.json").is_file()
+    assert run("estimate", "--bundle", ws / "bundle", "--spaces", spaces,
+               "--method", "primal-dual", "--xi-file", ws / "truth.csv",
+               "--out", tmp_path / "delta.csv") == 0
 
 
 def _outputs(path):

@@ -269,6 +269,8 @@ def test_memory_bytes_counts_tensors_before_blocks(model):
     (lambda d: d["gram"].pop(), "gram does not have shape"),
     (lambda d: d["h"][0].append(0.0), "h does not have shape"),
     (lambda d: d["points"][1].pop(), "points does not have shape"),
+    pytest.param(lambda d: d.__setitem__("points", 5), "points does not have shape",
+                 id="points-not-a-list"),
     (lambda d: d["h"][1].__setitem__(0, float("nan")), "h holds non-finite"),
     (lambda d: d["gram"][0][1][0].__setitem__(0, float("inf")),
      "gram holds non-finite"),
