@@ -10,12 +10,34 @@ structure that makes offline/online splitting possible: every reduced block
 is precomputed per term and recombined online with the scalars theta_k(xi).
 """
 
+import threading
+
 import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import DomainError
 
-__all__ = ["ParameterDomain", "CoefficientFn", "AffineForm", "assemble"]
+__all__ = ["ParameterDomain", "CoefficientFn", "Deferred", "AffineForm", "assemble"]
+
+
+class Deferred:
+    """The value ``load()`` makes on the first :meth:`get`, once, also when
+    pool threads ask together.  A matrix of known ``shape``, in place of a
+    Gram matrix, applies itself with ``@``.  A ``load`` that refers to the
+    Deferred's owner would keep the owner alive in a cycle until it runs."""
+
+    def __init__(self, load, shape=None):
+        self._load, self.shape, self._lock = load, shape, threading.Lock()
+
+    def get(self):
+        if self._load is not None:
+            with self._lock:
+                if self._load is not None:
+                    self._value, self._load = self._load(), None
+        return self._value
+
+    def __matmul__(self, X):
+        return self.get() @ X
 
 
 class ParameterDomain:
@@ -162,7 +184,9 @@ class AffineForm:
     """Sum of coefficient-times-constant-term pairs, sharing one shape.
 
     Terms may be scipy sparse matrices (operators, output maps) or 1-d
-    numpy arrays (right-hand sides).  At least one term is required.
+    numpy arrays (right-hand sides).  At least one term is required.  Terms
+    given as :class:`Deferred` are all read on the first read of ``terms``;
+    the shape, the term count and the coefficients need none of them.
 
     A form of several sparse terms is assembled on the union of their
     sparsity patterns, computed on the first assembly: each term's entries
@@ -174,11 +198,29 @@ class AffineForm:
         terms = list(terms)
         if not terms:
             raise ValueError("an affine form needs at least one term")
+        if not all(isinstance(coeff, CoefficientFn) for coeff, _ in terms):
+            raise TypeError("coefficients must be CoefficientFn instances")
+        self._sources, self.shape = terms, np.shape(terms[0][1])
+        # all coefficients as arrays: c_k and, for monomials, the exponent rows
+        # (a constant's row is zero, and xi^0 = 1 leaves c_k exact)
+        coeffs = [coeff for coeff, _ in terms]
+        self._c = np.array([coeff.c for coeff in coeffs])
+        d = next((len(c.exponents) for c in coeffs if c.kind == "monomial"), 0)
+        self._exponents = np.array([np.zeros(d, dtype=int) if c.kind == "constant"
+                                    else c.exponents for c in coeffs]) if d else None
+        self._union, self._check, self._terms = None, None, Deferred(self._load)
+        if not any(isinstance(term, Deferred) for _, term in terms):
+            self._terms.get()
+
+    @property
+    def terms(self):
+        """The (coefficient, term) pairs, all read on the first read."""
+        return self._terms.get()
+
+    def _load(self):
         normalized = []
-        shape = None
-        for coeff, term in terms:
-            if not isinstance(coeff, CoefficientFn):
-                raise TypeError("coefficients must be CoefficientFn instances")
+        for k, (coeff, term) in enumerate(self._sources):
+            term = term.get() if isinstance(term, Deferred) else term
             if sp.issparse(term):
                 term = term.tocsr()
                 if not term.has_canonical_format:
@@ -188,24 +230,21 @@ class AffineForm:
                 term = np.asarray(term, dtype=float)
                 if term.ndim not in (1, 2):
                     raise ValueError("dense terms must be 1-d or 2-d")
-            if shape is None:
-                shape = term.shape
-            elif term.shape != shape:
-                raise ValueError(f"term shape {term.shape} != {shape}")
+            if term.shape != self.shape:
+                raise ValueError(f"term shape {term.shape} != {self.shape}")
+            if self._check is not None:
+                self._check(k, term)
             normalized.append((coeff, term))
-        self.terms = tuple(normalized)
-        self.shape = shape
-        # all coefficients as arrays: c_k and, for monomials, the exponent rows
-        # (a constant's row is zero, and xi^0 = 1 leaves c_k exact)
-        self._c = np.array([coeff.c for coeff, _ in self.terms])
-        rows = [coeff.exponents for coeff, _ in self.terms if coeff.kind == "monomial"]
-        self._exponents = None
-        if rows:
-            self._exponents = np.array([
-                np.zeros(len(rows[0]), dtype=int) if coeff.kind == "constant"
-                else coeff.exponents for coeff, _ in self.terms])
-        self._on_pattern = len(self.terms) > 1 and all(sp.issparse(t) for _, t in self.terms)
-        self._union = None
+        self._on_pattern = len(normalized) > 1 and all(sp.issparse(t) for _, t in normalized)
+        self._sources = None
+        return tuple(normalized)
+
+    def check_terms(self, check):
+        """Run ``check(k, term_k)`` on every term as the terms are read: now
+        for terms in memory."""
+        self._check = check
+        for k, (_, term) in enumerate(() if self._sources else self.terms):
+            check(k, term)
 
     def _union_pattern(self):
         """The CSR pattern (indices, indptr) of the sum of the terms, and the
@@ -223,7 +262,7 @@ class AffineForm:
 
     @property
     def nterms(self):
-        return len(self.terms)
+        return len(self._c)
 
     def coefficients_at(self, xi):
         """Evaluate all theta_k(xi), returned as a float array."""
@@ -233,11 +272,11 @@ class AffineForm:
         return self._c * np.prod(xi ** self._exponents, axis=1)
 
     def __call__(self, xi):
-        thetas = self.coefficients_at(xi)
+        thetas, terms = self.coefficients_at(xi), self.terms
         if self._on_pattern:
             return self._on_union(thetas)
-        acc = thetas[0] * self.terms[0][1]
-        for theta, (_, term) in zip(thetas[1:], (t for t in self.terms[1:])):
+        acc = thetas[0] * terms[0][1]
+        for theta, (_, term) in zip(thetas[1:], terms[1:]):
             acc = acc + theta * term
         return acc
 

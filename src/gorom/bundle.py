@@ -40,10 +40,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmread, mmwrite
+from scipy.io import mminfo, mmread, mmwrite
 
 from ._linalg import dense
-from .affine import AffineForm, CoefficientFn, ParameterDomain
+from .affine import AffineForm, CoefficientFn, Deferred, ParameterDomain
 from .exceptions import BundleFormatError, GoromError
 from .model import FullOrderModel
 
@@ -135,19 +135,24 @@ def _form_entries(form, stem, directory):
     return entries
 
 
+def _deferred(path, shape, what):
+    """The matrix in file ``path``, parsed on first use, whose header must
+    declare ``shape`` (a vector as one column)."""
+    with _parsing(path, BundleFormatError):
+        header = mminfo(str(path))[:2]
+    if header != (*shape, 1)[:2]:
+        raise BundleFormatError(f"{what} {path.name!r} has shape {header}, expected {shape}")
+
+    def parse():
+        M = read_matrix(path, BundleFormatError)
+        return dense(M).ravel() if len(shape) == 1 else M
+    return Deferred(parse, shape)
+
+
 def _form_from_entries(entries, directory, shape, what):
-    terms = []
-    for entry in entries:
-        coeff = CoefficientFn.from_dict(entry["coeff"])
-        term = read_matrix(directory / entry["file"], BundleFormatError)
-        if len(shape) == 1:
-            term = dense(term).ravel()
-        if term.shape != shape:
-            raise BundleFormatError(
-                f"{what} term {entry['file']!r} has shape {term.shape}, expected {shape}"
-            )
-        terms.append((coeff, term))
-    return AffineForm(terms)
+    return AffineForm([(CoefficientFn.from_dict(entry["coeff"]),
+                        _deferred(directory / entry["file"], shape, f"{what} term"))
+                       for entry in entries])
 
 
 def store_bundle(model, path):
@@ -175,7 +180,13 @@ def store_bundle(model, path):
 
 
 def load_bundle(path):
-    """Load a bundle directory into a :class:`FullOrderModel`."""
+    """Load a bundle directory into a :class:`FullOrderModel`.
+
+    ``model.json`` and R_Z are read here, and of the other files only the
+    header, which refuses a missing file or one of another shape.  A form's
+    terms are parsed on the first read of its ``terms`` and R_V0 on the
+    first read of ``gram_v0``; a body that does not parse is refused then.
+    """
     directory = Path(path)
     meta_path = directory / "model.json"
     meta = read_json(meta_path, BundleFormatError)
@@ -190,8 +201,8 @@ def load_bundle(path):
         A = _form_from_entries(meta["operator"], directory, (n, n), "operator")
         b = _form_from_entries(meta["rhs"], directory, (n,), "rhs")
         L = _form_from_entries(meta["output"], directory, (l, n), "output")
-        gram_v0 = read_matrix(directory / meta["gram_v0"], BundleFormatError)
-        gram_z = read_matrix(directory / meta["gram_z"], BundleFormatError)
+        gram_v0 = _deferred(directory / meta["gram_v0"], (n, n), "gram_v0")
+        gram_z = _deferred(directory / meta["gram_z"], (l, l), "gram_z").get()
         return FullOrderModel(
             A, b, L, gram_v0, gram_z, domain,
             symmetry=meta["symmetry"],

@@ -30,6 +30,7 @@ the refusal of an input file that does not parse, live in :mod:`gorom.bundle`.
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -166,7 +167,8 @@ def load_spaces(model, path, bundle, bundle_hash):
     Spaces whose ``manifest.json`` names another hash than ``bundle_hash``,
     that of the ``bundle`` directory, are refused, and so are bases of
     another size than the model's, and stored blocks written with other
-    spaces or another bundle; spaces without a manifest load.
+    spaces or another bundle; spaces without a manifest load.  The model
+    takes the deviation of R_V0 from A(xi_ref) that the checked blocks record.
     """
     path = Path(path)
     mfile = path / "manifest.json"
@@ -175,8 +177,8 @@ def load_spaces(model, path, bundle, bundle_hash):
         if expected is not None and expected != bundle_hash:
             raise GoromError(f"{path} was built from another bundle than {bundle}, "
                              "or by an older gorom; re-run gorom offline on this bundle")
-    V = Basis.load(path / "V.mtx", model.gram_v0)
-    WQ = Basis.load(path / "WQ.mtx", model.gram_v0)
+    V = Basis.load(path / "V.mtx", model.deferred_gram_v0)
+    WQ = Basis.load(path / "WQ.mtx", model.deferred_gram_v0)
     pfile, sfile = path / "precond.json", path / _BLOCKS
     precond = (InverseInterpolant.from_dict(model, read_json(pfile, fields={}), pfile)
                if pfile.is_file() else None)
@@ -187,6 +189,8 @@ def load_spaces(model, path, bundle, bundle_hash):
         if store.ids.get(name) != found.get(name):
             where = bundle if name == "bundle" else path / name
             raise GoromError(f"{sfile} was not written with {where}; re-run gorom offline")
+    if store.v0_ref_deviation is not None:
+        model.v0_ref_deviation = store.v0_ref_deviation
     return V, WQ, precond, store
 
 
@@ -436,7 +440,9 @@ def _point_command(sub, name, help, func, spaces=True):
     return p
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="gorom",
         description="goal-oriented reduced-order modeling toolkit",

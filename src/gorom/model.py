@@ -9,12 +9,14 @@ for ``spd`` models the parameter-dependent state norm is the energy norm
 induced by A(xi); for ``general`` models it is the fixed R_V0 norm.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._linalg import dense
-from .affine import AffineForm, assemble
+from .affine import AffineForm, Deferred, assemble
 from .exceptions import FactorizationError
 
 __all__ = ["Factorization", "dual_norm_sq", "FullOrderModel"]
@@ -22,6 +24,22 @@ __all__ = ["Factorization", "dual_norm_sq", "FullOrderModel"]
 
 def _fro_norm(M):
     return spla.norm(M) if sp.issparse(M) else np.linalg.norm(M)
+
+
+def _spd_factor(name, G):
+    """The SPD factor of the Gram ``name``, refused unless it is SPD."""
+    try:
+        return Factorization(G, spd=True)
+    except FactorizationError as exc:
+        raise FactorizationError(f"{name} is not SPD: {exc}") from exc
+
+
+def _symmetric(k, M):
+    """Refuse operator term k, ``M``, of an spd model unless it is symmetric."""
+    num, den = _fro_norm(M - M.T), _fro_norm(M)
+    if num > 1e-12 * den:
+        raise ValueError(f"model flagged spd but operator term {k} is not "
+                         f"symmetric (rel asymmetry {num / den:.2e})")
 
 
 class Factorization:
@@ -113,9 +131,11 @@ class FullOrderModel:
         domain and every operator term is symmetric positive semidefinite,
         the precondition of the min-theta bound.
 
-    Construction factors R_V0 and R_Z once each, which refuses a Gram that
-    is not SPD: ``v0_factor`` is the R_V0 factor every Riesz solve reads,
-    and ``gram_z_inv`` = R_Z^{-1} is solved from the R_Z factor.  For an
+    Terms and R_V0 are given in memory or as :class:`Deferred` pieces that
+    a file gives on first use; each is checked once, when it is first
+    materialized, which is here for a piece in memory.  R_Z is factored
+    here, ``v0_factor`` (every Riesz solve reads it) on the first solve, each
+    refusing a Gram that is not SPD; ``gram_z_inv`` = R_Z^{-1}.  For an
     ``spd`` model each operator term is checked to be symmetric.
 
     Instances are immutable after construction and safe for shared
@@ -135,7 +155,14 @@ class FullOrderModel:
         self.A = A
         self.b = b
         self.L = L
-        self.gram_v0 = gram_v0.tocsr() if sp.issparse(gram_v0) else np.asarray(gram_v0, float)
+        in_memory = not isinstance(gram_v0, Deferred)
+        if in_memory:
+            G = gram_v0.tocsr() if sp.issparse(gram_v0) else np.asarray(gram_v0, float)
+            gram_v0 = Deferred(lambda: G, G.shape)
+        self.deferred_gram_v0 = gram_v0  # the Gram of bases that need only its size
+        self._v0_factor = Deferred(lambda: _spd_factor("gram_v0", gram_v0.get()))
+        if in_memory:
+            self._v0_factor.get()
         self.gram_z = dense(gram_z)
         self.domain = domain
         self.symmetry = symmetry
@@ -143,9 +170,10 @@ class FullOrderModel:
         self.coercive_affine = bool(coercive_affine)
         if self.xi_ref.shape != (domain.dim,):
             raise ValueError("xi_ref must have one entry per parameter component")
-        self._v0_ref_deviation = None
-        self._theta_ref = None
-        self._validate()
+        self.gram_z_inv = _spd_factor("gram_z", self.gram_z).solve(np.eye(self.l))
+        if symmetry == "spd":
+            # the reduced cache reads A_k^T X as A_k X
+            A.check_terms(_symmetric)
 
     # -- shape helpers -------------------------------------------------
 
@@ -161,22 +189,15 @@ class FullOrderModel:
     def d(self):
         return self.domain.dim
 
-    def _validate(self):
-        # R_V0 and R_Z are factored once each, which checks that they are SPD
-        factors = []
-        for name, G in (("gram_v0", self.gram_v0), ("gram_z", self.gram_z)):
-            try:
-                factors.append(Factorization(G, spd=True))
-            except FactorizationError as exc:
-                raise FactorizationError(f"{name} is not SPD: {exc}") from exc
-        self.v0_factor, z_factor = factors
-        self.gram_z_inv = z_factor.solve(np.eye(self.l))
-        # per operator term: the reduced cache reads A_k^T X as A_k X
-        for k, (_, M) in enumerate(self.A.terms if self.symmetry == "spd" else ()):
-            num, den = _fro_norm(M - M.T), _fro_norm(M)
-            if num > 1e-12 * den:
-                raise ValueError(f"model flagged spd but operator term {k} is not "
-                                 f"symmetric (rel asymmetry {num / den:.2e})")
+    @property
+    def gram_v0(self):
+        """R_V0, read on first use when it comes from a file."""
+        return self.deferred_gram_v0.get()
+
+    @property
+    def v0_factor(self):
+        """The SPD factor of R_V0, made once."""
+        return self._v0_factor.get()
 
     # -- assembly ------------------------------------------------------
 
@@ -199,22 +220,18 @@ class FullOrderModel:
 
     # -- Gram / Riesz machinery ----------------------------------------
 
-    @property
+    @cached_property
     def v0_ref_deviation(self):
-        """Relative Frobenius distance of R_V0 from A(xi_ref), computed once."""
-        if self._v0_ref_deviation is None:
-            Aref = self.A(self.xi_ref)
-            diff = Aref - self.gram_v0
-            num, den = _fro_norm(diff), _fro_norm(Aref)
-            self._v0_ref_deviation = float(num / max(den, np.finfo(float).tiny))
-        return self._v0_ref_deviation
+        """Relative Frobenius distance of R_V0 from A(xi_ref), computed once;
+        a value recorded offline for this bundle may be set in its place."""
+        Aref = self.A(self.xi_ref)
+        num, den = _fro_norm(Aref - self.gram_v0), _fro_norm(Aref)
+        return float(num / max(den, np.finfo(float).tiny))
 
-    @property
+    @cached_property
     def theta_ref(self):
         """The operator coefficients theta_A(xi_ref), computed once."""
-        if self._theta_ref is None:
-            self._theta_ref = self.A.coefficients_at(self.xi_ref)
-        return self._theta_ref
+        return self.A.coefficients_at(self.xi_ref)
 
     def riesz_v0(self, X):
         """Apply R_V0^{-1} to a dual vector or a matrix of dual columns."""

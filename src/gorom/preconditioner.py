@@ -18,10 +18,11 @@ once per point, so a coefficient fit costs O(m^2 Q^2) plus one m x m solve
 and never touches an n-sized array.  ``apply`` and ``apply_adjoint`` take
 the fitted weights, so a caller fits once per point and applies as often as
 it needs.  Only the sketched objective and ``add_point`` read the blocks
-themselves.  An interpolant loaded with :meth:`from_dict` factorizes its
-points on the first read of ``factorizations`` (``apply``,
-``apply_adjoint``, the test-space images) and solves the blocks again on
-their first read.
+themselves, and Omega and the images A^(k) Omega are made on first use,
+so a fit reads no operator term.  An interpolant loaded with
+:meth:`from_dict` factorizes its points on the first read of
+``factorizations`` (``apply``, ``apply_adjoint``, the test-space images)
+and solves the blocks again on their first read.
 
 With no points, P_0 = R_V0^{-1} by convention, which turns the derived
 test space back into the trial space (standard Galerkin), the
@@ -29,55 +30,58 @@ preconditioned residual norm into the plain R_V0 dual norm and the sketched
 objective into || R_V0^{-1} A(xi) Omega - Omega ||_F.
 """
 
-import threading
-
 import numpy as np
 import scipy.linalg as la
 
 from ._linalg import SpdFactor
+from .affine import Deferred
 from .exceptions import GoromError
 
 __all__ = ["InverseInterpolant"]
 
 
 class InverseInterpolant:
-    """Growable interpolation of A(xi)^{-1} with in-memory factorizations."""
+    """Growable interpolation of A(xi)^{-1} with in-memory factorizations
+    and a sketch of ``sketch_size`` columns drawn from ``seed`` on first use."""
 
     def __init__(self, model, sketch_size=400, seed=13, positivity=True):
         self.model = model
         self.s = int(min(sketch_size, model.n))
         self.seed = int(seed)
         self.positivity = bool(positivity)
-        rng = np.random.default_rng(self.seed)
-        self.omega = rng.standard_normal((model.n, self.s))
         self.points = []
-        # one factorization per point; None until first read after from_dict
-        self._factorizations = []
-        self._lock = threading.Lock()
-        q = len(model.A.terms)
+        # one factorization per point, made on first read after from_dict
+        self._factorizations = Deferred(list)
+        q = model.A.nterms
         # gram[i, j, k, k'] = <B_ik, B_jk'> and h[i, k] = <B_ik, Omega>
         self.gram = np.zeros((0, 0, q, q))
         self.h = np.zeros((0, q))
         # stacks[i][k] = B_ik = A(xi_i)^{-1} A^(k) Omega, one (Q, n, s) array
         # per point; None until first read after from_dict
         self._stacks = []
-        self._sketch_images = [np.asarray(term @ self.omega) for _, term in model.A.terms]
-        self._riesz_images = None
+        s, seed = self.s, self.seed
+
+        def draw():  # Omega and the images A_k Omega, on first use
+            omega = np.random.default_rng(seed).standard_normal((model.n, s))
+            return omega, [np.asarray(term @ omega) for _, term in model.A.terms]
+        sketch = self._sketch = Deferred(draw)
+        self._riesz_images = Deferred(lambda: [model.riesz_v0(img)
+                                               for img in sketch.get()[1]])
 
     @property
     def m(self):
         return len(self.points)
 
     @property
+    def omega(self):
+        """The seeded n x s Gaussian sketch, drawn on first use."""
+        return self._sketch.get()[0]
+
+    @property
     def factorizations(self):
         """The factorizations of A at the stored points, made on first read
         after :meth:`from_dict`."""
-        if self._factorizations is None:
-            with self._lock:
-                if self._factorizations is None:
-                    self._factorizations = [self.model.factorize_operator(xi)
-                                            for xi in self.points]
-        return self._factorizations
+        return self._factorizations.get()
 
     @property
     def memory_bytes(self):
@@ -96,8 +100,9 @@ class InverseInterpolant:
         return self._stacks
 
     def _solve_images(self, fact):
-        B = np.empty((len(self._sketch_images),) + self.omega.shape)
-        for k, img in enumerate(self._sketch_images):
+        omega, images = self._sketch.get()
+        B = np.empty((len(images),) + omega.shape)
+        for k, img in enumerate(images):
             B[k] = fact.solve(img)
         return B
 
@@ -160,11 +165,8 @@ class InverseInterpolant:
         """|| (P_m(xi) A(xi) - I) Omega ||_F at the weights ``lam``, by default
         those fitted at xi; with no points, P_0 = R_V0^{-1}."""
         if self.m == 0:
-            if self._riesz_images is None:
-                self._riesz_images = [self.model.riesz_v0(img)
-                                      for img in self._sketch_images]
             thetas = self.model.A.coefficients_at(xi)
-            acc = sum(t * img for t, img in zip(thetas, self._riesz_images))
+            acc = sum(t * img for t, img in zip(thetas, self._riesz_images.get()))
         else:
             lam = self.coefficients(xi) if lam is None else lam
             acc = sum(li * Mi for li, Mi in zip(lam, self._sketched_images_at(xi)))
@@ -239,14 +241,15 @@ class InverseInterpolant:
                              "non-negative integer and positivity a boolean; "
                              "re-run gorom offline")
         # points that are no list have no count; their shape check refuses them
-        m, q = len(d["points"]) if isinstance(d["points"], list) else 0, len(model.A.terms)
+        m, q = len(d["points"]) if isinstance(d["points"], list) else 0, model.A.nterms
         points = _checked_array(d, "points", (m, model.d), where)
         gram = _checked_array(d, "gram", (m, m, q, q), where)
         h = _checked_array(d, "h", (m, q), where)
         P = cls(model, s, seed, positivity)
         P.points = list(points)
         P.gram, P.h = gram, h
-        P._factorizations = None
+        P._factorizations = Deferred(lambda: [model.factorize_operator(xi)
+                                              for xi in points])
         P._stacks = None
         return P
 

@@ -679,17 +679,20 @@ def _known(kind, names):
 class BlockStore:
     """Blocks written by :meth:`ReducedCache.save` to the npz file ``path``,
     read one group at a time.  Its metadata, read and checked here, records
-    ``ids``, the identity the blocks were written with, and ``groups``, the
-    ``kind`` and form ``names`` of each group."""
+    ``ids``, the identity the blocks were written with, ``groups``, the
+    ``kind`` and form ``names`` of each group, and ``v0_ref_deviation``
+    (see :meth:`ReducedCache.save`)."""
 
     def __init__(self, path):
-        meta = check_fields(path, read_array(path, "meta"), {"ids": dict, "groups": dict})
+        meta = check_fields(path, read_array(path, "meta"), {
+            "ids": dict, "groups": dict, "v0_ref_deviation": (float, type(None))})
         for name, spec in meta["groups"].items():
             check_fields(path, spec, {"kind": str, "names": list})
             if not _known(spec["kind"], spec["names"]):
                 raise GoromError(f"malformed {path}: group {name} is of an unknown kind "
                                  "or over unknown forms")
         self.path, self.ids, self.groups = path, meta["ids"], meta["groups"]
+        self.v0_ref_deviation = meta.get("v0_ref_deviation")
 
     def read(self, name):
         """The stack of group ``name``, refused unless finite."""
@@ -838,27 +841,39 @@ class ReducedCache:
         return group
 
     def _read(self, name):
-        """The stored group ``name``."""
+        """The stored group ``name``, refused unless it holds a block of the
+        spaces' dimensions per term of its forms."""
         spec, stack = self._store.groups[name], self._store.read(name)
         kind, names = spec["kind"], spec["names"]
         if kind == "basis":
-            return Basis.of_columns(self.model.gram_v0, stack, name)
+            return Basis.of_columns(self.model.deferred_gram_v0, stack, name)
+        counts = [1 if f == "1" else getattr(self.precond, "m", 0) if f == "lam"
+                  else getattr(self.model, f).nterms for f in names]
+        terms = counts[0] * (counts[0] + 1) // 2 if kind == "gram" else np.prod(counts)
+        # 1 is the width of a right-hand side; p, which reads T, is asked last
+        if stack.ndim != 3 or len(stack) != terms or not all(
+                d in (1, self.r, self.k, self.model.l) or d == self.p for d in stack.shape[1:]):
+            raise GoromError(f"{self._store.path} holds a {name} of shape {stack.shape}, not "
+                             f"{terms} blocks of the spaces; re-run gorom offline")
         if kind == "gram":
-            return _Gram(names[0], stack, getattr(self.model, names[0]).nterms)
+            return _Gram(names[0], stack, counts[0])
         return _Affine(names, (0, 0, stack))
 
     def save(self, path, ids):
         """Write the reduced-size groups this cache built, and T when it
         built T, to the npz file ``path``, recording ``ids``, the identity
-        of the spaces and model they belong to (see :class:`BlockStore`)."""
+        of the spaces and model they belong to, and on a coercive-affine spd
+        model the deviation of R_V0 from A(xi_ref) (see :class:`BlockStore`)."""
         kinds = {cls: kind for kind, cls in _KINDS.items()}
         groups = {name: group for name, group in self._groups.items()
                   if name in _REDUCED or name == "T"}
+        meta = {"ids": ids, "groups": {name: {"kind": kinds[type(group)],
+                                              "names": list(getattr(group, "names", ()))}
+                                       for name, group in groups.items()}}
+        if self._spd and self.model.coercive_affine:
+            meta["v0_ref_deviation"] = self.model.v0_ref_deviation
         write_arrays(path, {name: group.columns if name == "T" else group.stack
-                            for name, group in groups.items()},
-                     {"ids": ids, "groups": {name: {"kind": kinds[type(group)],
-                                                    "names": list(getattr(group, "names", ()))}
-                                             for name, group in groups.items()}})
+                            for name, group in groups.items()}, meta)
 
     def at(self, xi):
         """The reduced blocks at ``xi``, each evaluated on first read; raises

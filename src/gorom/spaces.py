@@ -24,7 +24,8 @@ TOL_RANK = 1e-10
 
 
 class Basis:
-    """Append-only matrix of G-orthonormal columns spanning a reduced space."""
+    """Append-only matrix of G-orthonormal columns spanning a reduced space;
+    a :class:`~gorom.affine.Deferred` G is read on its first product."""
 
     def __init__(self, gram, n=None, name=""):
         self.gram = gram

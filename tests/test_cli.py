@@ -661,13 +661,15 @@ def test_unparseable_input_file_exits_with_one_line(workspace, tmp_path, capsys,
     assert not (tmp_path / "out.csv").exists()
 
 
-def _rewrite_meta(path, edit):
-    """Rewrite the metadata of a blocks file by ``edit(meta)``, keeping its stacks."""
+def _rewrite_meta(path, edit, edit_stacks=lambda stacks: None):
+    """Rewrite the metadata of a blocks file by ``edit(meta)`` and its stacks,
+    a dict by name, by ``edit_stacks(stacks)``."""
     from gorom.bundle import read_array, write_arrays
     meta = read_array(path, "meta")
     edit(meta)
     with np.load(path) as entries:
         stacks = {name: entries[name] for name in entries.files if name != "meta"}
+    edit_stacks(stacks)
     write_arrays(path, stacks, meta)
 
 
@@ -679,6 +681,7 @@ _BAD_RECORD = {"sketch_size": "abc", "seed": -1, "positivity": "yes"}
     *[pytest.param(name, None, id=name)
       for name in ("manifest.json", "V.json", "trace.json", "blocks.npz")],
     pytest.param("blocks.npz", "names", id="blocks.npz-names"),
+    pytest.param("blocks.npz", "terms", id="blocks.npz-terms"),
     *[pytest.param("precond.json", field, id=f"precond.json-{field}") for field in _BAD_RECORD]])
 def test_wrong_structure_input_file_exits_with_one_line(workspace, tmp_path, capsys, name,
                                                         field):
@@ -703,6 +706,10 @@ def test_wrong_structure_input_file_exits_with_one_line(workspace, tmp_path, cap
     elif field == "names":
         _rewrite_meta(spaces / name,
                       lambda meta: meta["groups"]["WAV"].update(names=["1", "zzz"]))
+    elif field == "terms":
+        # a stack short of its last operator term, its identity left as written
+        _rewrite_meta(spaces / name, lambda meta: None,
+                      lambda stacks: stacks.update(WAV=stacks["WAV"][:-1]))
     else:
         write_arrays(spaces / name, {}, {"groups": {}})
     command = ["compare"] if name == "trace.json" else ["eval", "--method", "primal"]
@@ -879,3 +886,146 @@ def test_offline_threads_write_the_same_blocks(workspace, tmp_path):
                       method="saddle", enrichment="partial") / "blocks.npz"
              for threads in (1, 2)]
     assert files[0].read_bytes() == files[1].read_bytes()
+
+
+@pytest.fixture(scope="module")
+def stored(workspace, tmp_path_factory):
+    """Spaces whose blocks hold a route: "primal-dual" (the workspace's),
+    "saddle" over the workspace bundle, and "precond", a primal-dual greedy
+    with the interpolant on an advection-diffusion bundle; each as (bundle,
+    spaces)."""
+    ws, out = workspace, tmp_path_factory.mktemp("stored")
+    adv = out / "adv"
+    assert run("generate", "--kind", "advection-diffusion", "--n", "49", "--d", "3",
+               "--l", "2", "--seed", "5", "--out", adv) == 0
+    return {"primal-dual": (ws / "bundle", ws / "spaces"),
+            "saddle": (ws / "bundle", _offline(ws / "bundle", out / "saddle",
+                                               method="saddle")),
+            "precond": (adv, _offline(adv, out / "precond", "--precond",
+                                      method="primal-dual"))}
+
+
+@pytest.mark.parametrize("spaces, command, method", [
+    ("saddle", "eval", "saddle"), ("saddle", "estimate", "saddle"),
+    *[("primal-dual", "eval", method) for method in ("primal", "dual", "primal-dual")],
+    ("primal-dual", "estimate", "primal-dual"), ("precond", "eval", "primal")])
+def test_stored_routes_parse_no_term_or_gram_v0(stored, tmp_path, monkeypatch, spaces,
+                                                command, method):
+    # a route the blocks hold reads model.json, R_Z and the spaces: no
+    # operator, right-hand side or output term and no R_V0 is parsed
+    from gorom import bundle
+    original = bundle.read_matrix
+
+    def refusing(path, error=bundle.GoromError):
+        assert not path.name.startswith(("A_", "b_", "L_", "R_V0")), f"parsed {path}"
+        return original(path, error)
+
+    monkeypatch.setattr(bundle, "read_matrix", refusing)
+    bundle_dir, spaces_dir = stored[spaces]
+    assert run(command, "--bundle", bundle_dir, "--spaces", spaces_dir, "--method", method,
+               "--sample-count", "4", "--out", tmp_path / "out.csv") == 0
+
+
+def test_corrupt_term_body_is_refused_when_a_route_reads_it(workspace, stored, tmp_path,
+                                                           capsys):
+    # a term file whose header is valid loads; the stored saddle route never
+    # parses it, and the dual route, built from the terms, refuses it
+    from gorom import cli
+    ws = workspace
+    bundle, spaces = tmp_path / "bundle", tmp_path / "spaces"
+    shutil.copytree(ws / "bundle", bundle)
+    shutil.copytree(stored["saddle"][1], spaces)
+    term = bundle / "A_001.mtx"
+    lines = term.read_text().splitlines()
+    lines[-1] = " ".join(lines[-1].split()[:-1] + ["abc"])
+    term.write_text("\n".join(lines) + "\n")
+    # the spaces belong to the edited bundle
+    new_hash = cli._bundle_hash(bundle)
+    manifest = json.loads((spaces / "manifest.json").read_text())
+    (spaces / "manifest.json").write_text(json.dumps({**manifest, "bundle_hash": new_hash}))
+    _rewrite_meta(spaces / "blocks.npz", lambda meta: meta["ids"].update(bundle=new_hash))
+    common = ["--bundle", bundle, "--spaces", spaces, "--xi-file", ws / "truth.csv"]
+    assert run("eval", *common, "--method", "saddle", "--out", tmp_path / "saddle.csv") == 0
+    capsys.readouterr()
+    assert run("eval", *common, "--method", "dual", "--out", tmp_path / "dual.csv") == 1
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0  # single-line diagnostic
+    assert "A_001.mtx" in err and "malformed" in err
+    assert not (tmp_path / "dual.csv").exists()
+
+
+def _table(path, command):
+    """The bytes of a command's table, without eval's wall_time_ms column."""
+    text = path.read_text()
+    if command == "eval":
+        text = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
+    return text
+
+
+@pytest.mark.one_blas_thread
+def test_lazy_bundle_writes_what_an_eagerly_read_one_writes(stored, tmp_path, monkeypatch):
+    # every route and estimate, stored or built from the terms, writes the
+    # same bytes whether the bundle's files are parsed on first use or all
+    # before the command starts
+    from gorom import cli
+    load = cli.load_bundle
+
+    def eager(path):
+        model = load(path)
+        for form in (model.A, model.b, model.L):
+            assert form.terms
+        assert model.gram_v0 is not None and model.v0_factor is not None
+        return model
+
+    runs = [(command, method) for command, methods in (
+        ("eval", ("primal", "dual", "primal-dual", "saddle")),
+        ("estimate", ("primal-dual", "saddle"))) for method in methods]
+    tables = {}
+    for reading in ("lazy", "eager"):
+        if reading == "eager":
+            monkeypatch.setattr(cli, "load_bundle", eager)
+        for which, (bundle, spaces) in stored.items():
+            for command, method in runs:
+                out = tmp_path / f"{reading}-{which}-{command}-{method}.csv"
+                assert run(command, "--bundle", bundle, "--spaces", spaces, "--method",
+                           method, "--sample-count", "5", "--out", out) == 0
+                tables[reading, which, command, method] = _table(out, command)
+    for (reading, *case), table in tables.items():
+        if reading == "lazy":
+            assert table == tables[("eager", *case)], case
+
+
+@pytest.mark.parametrize("spaces, method", [("saddle", "primal"), ("saddle", "saddle"),
+                                            ("precond", "primal"), ("precond", "dual")])
+def test_online_command_frees_its_model_without_the_cycle_collector(stored, tmp_path,
+                                                                    monkeypatch, spaces,
+                                                                    method):
+    # pieces left unread (a term, R_V0's factor, the interpolant's sketch)
+    # hold no reference back to their owner, so the model and interpolant
+    # of a command go when it returns, not at the next cyclic collection
+    import gc
+    import weakref
+
+    from gorom import InverseInterpolant, cli
+    owners, load, init = [], cli.load_bundle, InverseInterpolant.__init__
+
+    def loading(path):
+        model = load(path)
+        owners.append(weakref.ref(model))
+        return model
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        owners.append(weakref.ref(self))
+
+    monkeypatch.setattr(cli, "load_bundle", loading)
+    monkeypatch.setattr(InverseInterpolant, "__init__", tracked)
+    bundle_dir, spaces_dir = stored[spaces]
+    gc.collect()
+    gc.disable()
+    try:
+        assert run("eval", "--bundle", bundle_dir, "--spaces", spaces_dir, "--method",
+                   method, "--sample-count", "3", "--out", tmp_path / "out.csv") == 0
+        assert owners and all(ref() is None for ref in owners)
+    finally:
+        gc.enable()
